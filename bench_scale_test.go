@@ -3,6 +3,7 @@ package klocal_test
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"klocal"
@@ -112,3 +113,45 @@ func BenchmarkScaleExtract(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScalePreprocess measures the cold view build — G_k(u)
+// extraction, dormancy, the routing view, classification and the
+// next-hop table — per view, at the two localities the workloads use,
+// over the mmap'd 317×317 CSR grid and over its in-memory *Graph twin.
+// Sources sweep the grid interior, so every view is a full k-ball.
+func BenchmarkScalePreprocess(b *testing.B) {
+	const side = 317
+	c := openScaleCSR(b, side)
+	stores := []struct {
+		name string
+		st   klocal.GraphStore
+	}{{"csr", c}, {"graph", c.ToGraph()}}
+	for _, s := range stores {
+		for _, k := range []int{3, 8} {
+			b.Run(fmt.Sprintf("%s/k=%d", s.name, k), func(b *testing.B) {
+				srcs := make([]klocal.Vertex, 0, 256)
+				for r := k; r < side-k && len(srcs) < cap(srcs); r += 13 {
+					for col := k; col < side-k && len(srcs) < cap(srcs); col += 17 {
+						srcs = append(srcs, klocal.Vertex(r*side+col))
+					}
+				}
+				klocal.PreprocessStore(s.st, srcs[0], k, klocal.PolicyMinRank) // warm the pooled scratch
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					preprocessSink = klocal.PreprocessStore(s.st, srcs[i%len(srcs)], k, klocal.PolicyMinRank)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms1)
+				views := float64(b.N)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/views, "ns/view")
+				b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/views, "B/view")
+				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/views, "allocs/view")
+			})
+		}
+	}
+}
+
+// preprocessSink keeps the benchmarked builds observable.
+var preprocessSink *klocal.View

@@ -74,7 +74,7 @@ func parseBenchLines(text, bench string) (benchResult, error) {
 	var res benchResult
 	for _, line := range strings.Split(text, "\n") {
 		fields := strings.Fields(line)
-		if len(fields) < 4 || fields[0] != bench {
+		if len(fields) < 4 || !benchNameMatches(fields[0], bench) {
 			continue
 		}
 		// fields: name, iterations, then value/unit pairs.
@@ -96,6 +96,20 @@ func parseBenchLines(text, bench string) (benchResult, error) {
 		return res, fmt.Errorf("benchgate: no %q msgs/sec result found", bench)
 	}
 	return res, nil
+}
+
+// benchNameMatches reports whether a result line's name is bench, with
+// or without the "-N" suffix go test appends when GOMAXPROCS is N > 1.
+func benchNameMatches(name, bench string) bool {
+	procs, ok := strings.CutPrefix(name, bench)
+	if !ok {
+		return false
+	}
+	if procs == "" {
+		return true
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(procs, "-"))
+	return strings.HasPrefix(procs, "-") && err == nil && n > 0
 }
 
 func runCurrent(bench string) (benchResult, error) {

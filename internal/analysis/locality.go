@@ -9,7 +9,8 @@ import (
 // decision at u may consult only s, t, the incoming port and G_k(u).
 // Concretely, inside a decision path every *graph.Graph value must be
 // reached through the sanctioned view carriers — prep.View,
-// prep.Preprocessor, nbhd.Neighborhood, nbhd.Component — or be handed
+// prep.RefView, prep.Preprocessor, nbhd.Neighborhood, nbhd.Component —
+// or be handed
 // to the nbhd/prep preprocessing boundary that constructs such a view.
 // Calling a raw graph method (g.Adj, g.BFS, g.NextHopToward, ...) on
 // the network itself, or passing the network to any other helper, is
@@ -121,7 +122,7 @@ func calleeName(call *ast.CallExpr) string {
 }
 
 // viewDerivedVars finds local variables of the scope that hold graphs
-// obtained from a view (e.g. vg := view.Routing), iterating to a fixed
+// obtained from a view (e.g. vg := ref.Routing), iterating to a fixed
 // point so chains of assignments stay sanctioned.
 func viewDerivedVars(pass *Pass, s scope) map[*types.Var]bool {
 	derived := make(map[*types.Var]bool)
@@ -166,7 +167,7 @@ func viewDerivedVars(pass *Pass, s scope) map[*types.Var]bool {
 
 // viewDerived reports whether e yields a value reached through a
 // sanctioned view: a view-typed value itself, a selector chain rooted
-// in one (view.Raw.G), a call on one (p.At(u)), or a local variable
+// in one (ref.Raw.G), a call on one (p.At(u)), or a local variable
 // previously assigned such a value.
 func viewDerived(pass *Pass, derived map[*types.Var]bool, e ast.Expr) bool {
 	switch x := e.(type) {
@@ -191,7 +192,7 @@ func viewDerived(pass *Pass, derived map[*types.Var]bool, e ast.Expr) bool {
 		if isViewType(pass.TypeOf(x)) {
 			return true
 		}
-		// A method call on a view (p.At, view.CompOf, nb.Components)
+		// A method call on a view (p.At, ref.CompOf, nb.Components)
 		// yields view-derived data whatever its result type.
 		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 			if selection := pass.Info.Selections[sel]; selection != nil && selection.Kind() == types.MethodVal {

@@ -53,8 +53,11 @@ func Good(g *graph.Graph, p *prep.Preprocessor, k int) func(s, t, u, v graph.Ver
 		if view.Contains(t) && len(adj) > 0 {
 			return view.G.NextHopToward(u, t), nil
 		}
-		if pv := p.At(u); pv != nil {
-			return pv.Routing.NextHopToward(u, t), nil
+		if pv := p.At(u); pv.C.Raw.Contains(t) {
+			return pv.C.NextHopFromCenter(t), nil
+		}
+		if ref := prep.Reference(g, u, k, prep.PolicyMinRank); ref != nil {
+			return ref.Routing.NextHopToward(u, t), nil
 		}
 		return graph.NoVertex, nil
 	}

@@ -81,17 +81,17 @@ func AllProperties() []Property {
 		},
 		{
 			Name:  "csr",
-			Doc:   "CSR store views G_k(u) are vertex-, distance- and edge-identical to nbhd.Extract, and store-backed routing walks the graph-backed walk",
+			Doc:   "CSR store views G_k(u) are vertex-, distance- and edge-identical to nbhd.Extract, CSR-built views equal the map-based oracle, and store-backed routing walks the graph-backed walk",
 			Check: checkCSR,
 		},
 		{
 			Name:  "compact",
-			Doc:   "the compact int-indexed decision paths route walk-identically to the retained map-based reference step",
+			Doc:   "views equal the map-based oracle and the compact int-indexed decision paths route walk-identically to the retained map-based reference step",
 			Check: checkCompact,
 		},
 		{
 			Name:  "delta",
-			Doc:   "after every prefix of a churn schedule, incrementally derived views equal from-scratch views, clean views survive by pointer, and delivery holds on connected snapshots",
+			Doc:   "after every prefix of a churn schedule, incrementally derived views equal the map-based oracle, clean views survive by pointer, and delivery holds on connected snapshots",
 			Check: checkDelta,
 		},
 	}
@@ -280,7 +280,8 @@ func checkCluster(sc *Scenario) error {
 // checkCSR is the store differential: the same scenario topology held as
 // an int-indexed CSR (internal/bigraph) must produce, at every vertex,
 // exactly the G_k(u) view the map-based extractor computes — both via the
-// zero-alloc scratch fast path and the generic Store BFS — and the
+// zero-alloc scratch fast path and the generic Store BFS — and exactly
+// the preprocessed view of the map-based oracle (prep.Reference); the
 // store-bound routing function must then walk hop-for-hop the walk the
 // graph-bound one walks. A mismatch means the CSR layout, the scratch
 // epochs, or the Store adapters corrupted the locality model.
@@ -298,6 +299,10 @@ func checkCSR(sc *Scenario) error {
 		}
 		if err := sameView(nbhd.ExtractStore(c, u, sc.K), want); err != nil {
 			return fmt.Errorf("store BFS view G_%d(%d): %w", sc.K, u, err)
+		}
+		ref := prep.Reference(sc.G, u, sc.K, sc.Alg.Policy)
+		if err := prep.PreprocessStore(c, u, sc.K, sc.Alg.Policy).Diff(&ref.View); err != nil {
+			return fmt.Errorf("CSR preprocessed view at %d (k=%d): %w", u, sc.K, err)
 		}
 	}
 	if sc.Alg.BindStore == nil {
@@ -365,17 +370,24 @@ func refTwin(name string) (route.Algorithm, bool) {
 	}
 }
 
-// checkCompact is the compact-view differential: the production decision
-// paths (int-indexed CompactView reads, scratch-backed bounce
-// simulation) must behave exactly like the retained map-based reference
-// step — same outcome, hop-for-hop identical walk — at every locality,
-// below threshold included (error cases must agree too). A divergence
-// means the compact encoding, the index-order rank argument, or the
-// scratch reuse broke a decision rule.
+// checkCompact is the compact-view differential: every preprocessed
+// view must equal the map-based oracle (prep.Reference) field by field,
+// and the production decision paths (int-indexed CompactView reads,
+// scratch-backed bounce simulation) must behave exactly like the
+// retained map-based reference step — same outcome, hop-for-hop
+// identical walk — at every locality, below threshold included (error
+// cases must agree too). A divergence means the compact build, the
+// index-order rank argument, or the scratch reuse broke a decision rule.
 func checkCompact(sc *Scenario) error {
 	ref, ok := refTwin(sc.Algo)
 	if !ok {
 		return nil
+	}
+	for _, u := range sc.G.Vertices() {
+		want := prep.Reference(sc.G, u, sc.K, sc.Alg.Policy)
+		if err := prep.PreprocessPolicy(sc.G, u, sc.K, sc.Alg.Policy).Diff(&want.View); err != nil {
+			return fmt.Errorf("preprocessed view at %d (k=%d): %w", u, sc.K, err)
+		}
 	}
 	prod := routeScenario(sc)
 	refRes := routeScenario(&Scenario{
@@ -401,14 +413,16 @@ func checkCompact(sc *Scenario) error {
 }
 
 // DeltaSteps is the churn-schedule length the delta property replays.
-// Each prefix is checked against a from-scratch rebuild, so the cost is
-// DeltaSteps full preprocessing passes plus the incremental chain.
+// Each prefix is checked against a map-based oracle rebuild, so the cost
+// is DeltaSteps full reference preprocessing passes plus the incremental
+// chain.
 const DeltaSteps = 6
 
 // checkDelta is the incremental-churn differential: replay a
 // deterministic (seed-derived) schedule of topology deltas and, after
 // every prefix, require the Derive-maintained preprocessor to hold
-// views identical to a from-scratch preprocessor on the same snapshot.
+// views identical to the map-based oracle (prep.Reference) on the same
+// snapshot.
 // Views outside the k-radius dirty set must survive by pointer (the
 // locality theorem as a caching contract: a flap at {x, y} can only
 // change G_k(u) within distance k of x or y), and on snapshots where
@@ -440,9 +454,9 @@ func checkDelta(sc *Scenario) error {
 					return fmt.Errorf("delta %d (%s): view of clean vertex %d was rebuilt (outside the dirty set)", i, d, v)
 				}
 			}
-			want := prep.PreprocessPolicy(post, v, k, sc.Alg.Policy)
-			if err := samePrepView(got, want); err != nil {
-				return fmt.Errorf("delta %d (%s): derived view of %d differs from scratch: %w", i, d, v, err)
+			want := prep.Reference(post, v, k, sc.Alg.Policy)
+			if err := got.Diff(&want.View); err != nil {
+				return fmt.Errorf("delta %d (%s): derived view of %d differs from the oracle: %w", i, d, v, err)
 			}
 		}
 		if sc.Alg.BindCached != nil && post.HasVertex(sc.S) && post.HasVertex(sc.T) &&
@@ -457,44 +471,6 @@ func checkDelta(sc *Scenario) error {
 			}
 		}
 		cur = post
-	}
-	return nil
-}
-
-// samePrepView compares two preprocessed views field by field: same raw
-// neighbourhood, dormant classification, routing subgraph, routing
-// distances and active roots. The compact encodings are deterministic
-// functions of these, so equality here is full view equality.
-func samePrepView(got, want *prep.View) error {
-	if err := sameView(got.Raw, want.Raw); err != nil {
-		return fmt.Errorf("raw neighbourhood: %w", err)
-	}
-	if len(got.Dormant) != len(want.Dormant) {
-		return fmt.Errorf("%d dormant edges, want %d", len(got.Dormant), len(want.Dormant))
-	}
-	for i := range got.Dormant {
-		if got.Dormant[i] != want.Dormant[i] {
-			return fmt.Errorf("dormant[%d] = %v, want %v", i, got.Dormant[i], want.Dormant[i])
-		}
-	}
-	if !got.Routing.Equal(want.Routing) {
-		return fmt.Errorf("routing subgraphs differ")
-	}
-	if len(got.RoutingDist) != len(want.RoutingDist) {
-		return fmt.Errorf("routing dist over %d vertices, want %d", len(got.RoutingDist), len(want.RoutingDist))
-	}
-	for v, d := range want.RoutingDist {
-		if gd, ok := got.RoutingDist[v]; !ok || gd != d {
-			return fmt.Errorf("routing dist(%d) = %d, want %d", v, gd, d)
-		}
-	}
-	if len(got.ActiveRoots) != len(want.ActiveRoots) {
-		return fmt.Errorf("%d active roots, want %d", len(got.ActiveRoots), len(want.ActiveRoots))
-	}
-	for i := range got.ActiveRoots {
-		if got.ActiveRoots[i] != want.ActiveRoots[i] {
-			return fmt.Errorf("active root %d = %d, want %d", i, got.ActiveRoots[i], want.ActiveRoots[i])
-		}
 	}
 	return nil
 }

@@ -206,7 +206,7 @@ func TestCSRPropertyAcrossFamiliesAndK(t *testing.T) {
 
 // TestDeltaPropertyAcrossFamilies replays the churn differential on
 // every generator family at threshold locality and at k=1: derived
-// views must equal from-scratch views after every schedule prefix
+// views must equal the map-based oracle after every schedule prefix
 // regardless of the topology's shape.
 func TestDeltaPropertyAcrossFamilies(t *testing.T) {
 	fams := families()

@@ -177,13 +177,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 		if next >= rank {
 			lo, hi := bucketBounds(i)
 			// Clamp the bucket to the observed extremes so estimates
-			// never leave [min, max].
-			flo, fhi := float64(lo), float64(hi)
-			if flo < float64(h.min) {
-				flo = float64(h.min)
-			}
-			if fhi > float64(h.max)+1 {
-				fhi = float64(h.max) + 1
+			// never leave [min, max]. The top bucket's hi overflows, so
+			// it is clamped like the bucket holding max.
+			flo, fhi := float64(max(lo, h.min)), float64(h.max)
+			if hi > lo && hi < h.max {
+				fhi = float64(hi)
 			}
 			frac := (rank - cum) / float64(n)
 			return flo + frac*(fhi-flo)

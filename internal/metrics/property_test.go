@@ -117,6 +117,33 @@ func TestMergeRandomSplitsExact(t *testing.T) {
 	}
 }
 
+// TestQuantileWithinRangeAndMonotone draws random observation sets —
+// a few values to thousands, small exact-bucket values to octave-spanning
+// ones — and requires every estimate to lie in [min, max] and to be
+// monotone in q.
+func TestQuantileWithinRangeAndMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		var h Histogram
+		n := 1 + rng.Intn(2000)
+		top := int64(1) << uint(1+rng.Intn(40))
+		for i := 0; i < n; i++ {
+			h.Observe(rng.Int63n(top))
+		}
+		prev := math.Inf(-1)
+		for q := 0.0; q <= 1.0001; q += 0.005 {
+			got := h.Quantile(q)
+			if got < float64(h.Min()) || got > float64(h.Max()) {
+				t.Fatalf("trial %d: Quantile(%.3f) = %v outside [%d, %d]", trial, q, got, h.Min(), h.Max())
+			}
+			if got < prev {
+				t.Fatalf("trial %d: Quantile(%.3f) = %v < %v at the previous q", trial, q, got, prev)
+			}
+			prev = got
+		}
+	}
+}
+
 // TestShardLiveClone exercises the live-read contract: a recording
 // goroutine keeps observing while another clones and live-merges, and
 // every snapshot is internally consistent (histogram count matches the

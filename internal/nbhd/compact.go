@@ -143,6 +143,9 @@ type Scratch struct {
 	glocal []int32
 	gepoch uint32
 	gorder []int32 // BFS discovery order (global indices); doubles as the queue
+	// ball maps label to distance for extractLabels, which has no global
+	// index space to mark.
+	ball map[graph.Vertex]int32
 
 	// Backing buffers for View.
 	verts    []graph.Vertex
@@ -324,6 +327,74 @@ func (sc *Scratch) ExtractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
 				sc.adj = append(sc.adj, sc.glocal[gy])
 			}
 		}
+	}
+	sc.adjStart = append(sc.adjStart, int32(len(sc.adj)))
+	sc.View.AdjStart = sc.adjStart
+	sc.View.Adj = sc.adj
+	return true
+}
+
+// ExtractStore computes G_k(u) into sc from any store: *bigraph.CSR and
+// *graph.Graph take their indexed paths, ExtractCSR and ExtractGraph;
+// any other store is read by label. It reports false when u is absent
+// or k is negative.
+func (sc *Scratch) ExtractStore(st bigraph.Store, u graph.Vertex, k int) bool {
+	switch s := st.(type) {
+	case *bigraph.CSR:
+		return sc.ExtractCSR(s, u, k)
+	case *graph.Graph:
+		return sc.ExtractGraph(s, u, k)
+	default:
+		return sc.extractLabels(st, u, k)
+	}
+}
+
+// extractLabels is ExtractGraph over a store with no dense index space
+// of its own, read through the bigraph.Store interface: the k-ball is
+// collected in a reused label map, sorted, and its rows resolved by
+// binary search.
+func (sc *Scratch) extractLabels(st bigraph.Store, u graph.Vertex, k int) bool {
+	if !st.HasVertex(u) || k < 0 {
+		return false
+	}
+	if sc.ball == nil {
+		sc.ball = make(map[graph.Vertex]int32)
+	}
+	clear(sc.ball)
+	sc.ball[u] = 0
+	sc.verts = append(sc.verts[:0], u)
+	for head := 0; head < len(sc.verts); head++ {
+		x := sc.verts[head]
+		d := sc.ball[x]
+		if int(d) >= k {
+			continue
+		}
+		st.EachAdj(x, func(y graph.Vertex) bool {
+			if _, seen := sc.ball[y]; !seen {
+				sc.ball[y] = d + 1
+				sc.verts = append(sc.verts, y)
+			}
+			return true
+		})
+	}
+	slices.Sort(sc.verts)
+	sc.dist = sc.dist[:0]
+	for _, v := range sc.verts {
+		sc.dist = append(sc.dist, sc.ball[v])
+	}
+	sc.setView(u, k)
+	sc.adjStart = sc.adjStart[:0]
+	sc.adj = sc.adj[:0]
+	for li, v := range sc.View.Verts {
+		sc.adjStart = append(sc.adjStart, int32(len(sc.adj)))
+		di := sc.View.Dist[li]
+		st.EachAdj(v, func(y graph.Vertex) bool {
+			if dy, ok := sc.ball[y]; ok && (int(di) < k || int(dy) < k) {
+				yi, _ := sc.View.Index(y)
+				sc.adj = append(sc.adj, yi)
+			}
+			return true
+		})
 	}
 	sc.adjStart = append(sc.adjStart, int32(len(sc.adj)))
 	sc.View.AdjStart = sc.adjStart

@@ -48,8 +48,8 @@ func ExtractStore(st bigraph.Store, u graph.Vertex, k int) *Neighborhood {
 	return &Neighborhood{Center: u, K: k, G: b.Build(), Dist: dist}
 }
 
-// ExtractCSR materializes G_k(u) from a CSR store through sc — the
-// map-free BFS fast path the preprocessor takes for CSR-backed networks.
+// ExtractCSR materializes G_k(u) from a CSR store through sc's
+// map-free BFS, as a map-based Neighborhood for comparison with Extract.
 // It fails only where CSR.Extract does (absent centre, negative k).
 func ExtractCSR(c *bigraph.CSR, u graph.Vertex, k int, sc *bigraph.Scratch) (*Neighborhood, error) {
 	if err := c.Extract(u, k, sc); err != nil {

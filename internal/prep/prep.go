@@ -19,7 +19,6 @@ package prep
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -56,33 +55,23 @@ func (p Policy) String() string {
 	}
 }
 
-// View is the preprocessed local view at a node: the raw k-neighbourhood
-// G_k(u), the locally identified dormant edges, and the routing subgraph
-// G'_k(u) with its classified components.
+// View is the preprocessed local view at a node: the locally identified
+// dormant edges, the active roots, and the compact encodings of G_k(u)
+// and of the routing subgraph G'_k(u) with its classified components.
+// Its only encoding is int-indexed; Reference builds the same view the
+// map-based way, as a test oracle.
 type View struct {
 	Center graph.Vertex
 	K      int
 
-	// Raw is the unprocessed k-neighbourhood G_k(u).
-	Raw *nbhd.Neighborhood
 	// Dormant lists the edges of G_k(u) classified dormant at this node,
 	// in rank order.
 	Dormant []graph.Edge
-	// Routing is G'_k(u): the dormant-free neighbourhood re-restricted to
-	// paths of length at most k rooted at the centre.
-	Routing *graph.Graph
-	// RoutingDist maps each vertex of Routing to its distance from the
-	// centre along routing edges.
-	RoutingDist map[graph.Vertex]int
-	// Comps are the local components of G'_k(u), classified with routing
-	// distances, ordered by lowest root label.
-	Comps []*nbhd.Component
 	// ActiveRoots lists the active neighbours of the centre (roots of
 	// active components) in rank order. Its length is the centre's active
 	// degree.
 	ActiveRoots []graph.Vertex
-	// C holds the int-indexed compact encodings of the same data, read by
-	// the routing decision paths without rebuilding maps.
+	// C holds the int-indexed encodings the routing decision paths read.
 	C Compact
 }
 
@@ -97,15 +86,15 @@ type Compact struct {
 	// NextHop maps each Raw local index t to the canonical next hop from
 	// the centre toward t inside G_k(u) (the lowest-labelled neighbour of
 	// the centre on a shortest path), or graph.NoVertex when t is the
-	// centre itself. Precomputing it turns the per-hop
-	// Raw.G.NextHopToward BFS into one binary search and a load.
+	// centre itself. Precomputing it turns a per-hop shortest-path BFS
+	// into one binary search and a load.
 	NextHop []graph.Vertex
-	// Routing is the compact encoding of G'_k(u); its Dist column is the
-	// compact twin of RoutingDist.
+	// Routing is the compact encoding of G'_k(u): the dormant-free
+	// neighbourhood re-restricted to paths of length at most k rooted at
+	// the centre; its Dist column holds the routing distances.
 	Routing *nbhd.CompactView
 	// Comps are the classified components of G'_k(u) in local index
-	// space, heap-owned, ordered by lowest root label (parallel to
-	// View.Comps).
+	// space, heap-owned, ordered by lowest root label.
 	Comps []nbhd.CompactComponent
 	// CompID maps each Routing local index to its component's position in
 	// Comps, or -1 for the centre.
@@ -114,7 +103,8 @@ type Compact struct {
 
 // NextHopFromCenter returns the canonical next hop from the centre
 // toward t inside G_k(u), or graph.NoVertex when t is outside the raw
-// view or is the centre — exactly Raw.G.NextHopToward(centre, t).
+// view or is the centre — exactly graph.NextHopToward(centre, t) inside
+// G_k(u).
 //
 //klocal:hotpath
 func (c *Compact) NextHopFromCenter(t graph.Vertex) graph.Vertex {
@@ -139,126 +129,14 @@ func Preprocess(g *graph.Graph, u graph.Vertex, k int) *View {
 
 // PreprocessPolicy computes the view under an explicit dormancy policy.
 func PreprocessPolicy(g *graph.Graph, u graph.Vertex, k int, pol Policy) *View {
-	return preprocessRaw(nbhd.Extract(g, u, k), u, k, pol)
+	return build(g, u, k, pol)
 }
-
-// csrScratch pools the BFS scratch buffers of the CSR extraction fast
-// path across preprocessing calls.
-var csrScratch = sync.Pool{New: func() any { return bigraph.NewScratch() }}
 
 // PreprocessStore computes the view reading topology through a
-// bigraph.Store. For a *graph.Graph store it is PreprocessPolicy exactly;
-// for a *bigraph.CSR it extracts G_k(u) through the zero-alloc CSR walk
-// before handing the (small) view to the dormancy machinery.
+// bigraph.Store: *bigraph.CSR and *graph.Graph stores extract G_k(u)
+// through their dense index spaces, so the whole build is int-indexed.
 func PreprocessStore(st bigraph.Store, u graph.Vertex, k int, pol Policy) *View {
-	switch s := st.(type) {
-	case *graph.Graph:
-		return PreprocessPolicy(s, u, k, pol)
-	case *bigraph.CSR:
-		sc := csrScratch.Get().(*bigraph.Scratch)
-		raw, err := nbhd.ExtractCSR(s, u, k, sc)
-		csrScratch.Put(sc)
-		if err == nil {
-			return preprocessRaw(raw, u, k, pol)
-		}
-		// Absent centre or degenerate k: the generic path yields the
-		// same empty view Extract would.
-		return preprocessRaw(nbhd.ExtractStore(st, u, k), u, k, pol)
-	default:
-		return preprocessRaw(nbhd.ExtractStore(st, u, k), u, k, pol)
-	}
-}
-
-// preprocessRaw runs dormancy classification and component analysis over
-// an already-extracted raw neighbourhood — the shared body of the graph-
-// and store-backed entry points. Everything past the G_k(u) extraction
-// operates on the small view graph, never the full network.
-func preprocessRaw(raw *nbhd.Neighborhood, u graph.Vertex, k int, pol Policy) *View {
-	v := &View{
-		Center: u,
-		K:      k,
-		Raw:    raw,
-	}
-	for _, e := range raw.G.Edges() {
-		if dormantInView(raw.G, e, k, pol) {
-			// Edges() is rank-ordered, so Dormant stays sorted and
-			// IsDormant can binary-search it.
-			v.Dormant = append(v.Dormant, e)
-		}
-	}
-	pruned := raw.G.WithoutEdges(v.Dormant)
-	inner := nbhd.Extract(pruned, u, k)
-	v.Routing = inner.G
-	v.RoutingDist = inner.Dist
-	v.Comps = nbhd.ClassifyView(v.Routing, u, k)
-	for _, c := range v.Comps {
-		if c.Active {
-			v.ActiveRoots = append(v.ActiveRoots, c.Roots...)
-		}
-	}
-	sort.Slice(v.ActiveRoots, func(i, j int) bool { return v.ActiveRoots[i] < v.ActiveRoots[j] })
-	v.buildCompact()
-	return v
-}
-
-// compactScratch pools the compact-encoding working memory across
-// preprocessing calls.
-var compactScratch = sync.Pool{New: func() any { return nbhd.NewScratch() }}
-
-// buildCompact derives the view's int-indexed encodings. Runs once at
-// preprocessing time; the per-target next-hop BFS sweep is the same cost
-// class as the dormancy classification that precedes it, and it deletes
-// a full BFS from every subsequent hop through this node.
-func (v *View) buildCompact() {
-	sc := compactScratch.Get().(*nbhd.Scratch)
-	defer compactScratch.Put(sc)
-
-	sc.FromView(v.Raw.G, v.Center, v.K)
-	v.C.Raw = sc.View.Clone()
-	v.C.NextHop = make([]graph.Vertex, sc.View.NV())
-	for t := range v.C.NextHop {
-		hop := sc.NextHopToward(sc.View.CenterIdx, int32(t))
-		if hop < 0 {
-			v.C.NextHop[t] = graph.NoVertex
-		} else {
-			v.C.NextHop[t] = sc.View.Verts[hop]
-		}
-	}
-
-	sc.FromView(v.Routing, v.Center, v.K)
-	sc.Classify()
-	v.C.Routing = sc.View.Clone()
-	v.C.Comps = make([]nbhd.CompactComponent, len(sc.Comps))
-	v.C.CompID = make([]int32, sc.View.NV())
-	for i := range v.C.CompID {
-		v.C.CompID[i] = -1
-	}
-	for i := range sc.Comps {
-		cc := &sc.Comps[i]
-		v.C.Comps[i] = nbhd.CompactComponent{
-			Verts:       append([]int32(nil), cc.Verts...),
-			Roots:       append([]int32(nil), cc.Roots...),
-			Constraints: append([]int32(nil), cc.Constraints...),
-			Active:      cc.Active,
-			Independent: cc.Independent,
-			Constrained: cc.Constrained,
-		}
-		for _, li := range cc.Verts {
-			v.C.CompID[li] = int32(i)
-		}
-	}
-}
-
-// dormantInView reports whether e is the policy-extreme edge of some
-// cycle of length at most 2k inside view: equivalently, whether the view
-// has a path between e's endpoints of length at most 2k−1 using only
-// edges beyond e in the policy's order.
-func dormantInView(view *graph.Graph, e graph.Edge, k int, pol Policy) bool {
-	allow := func(f graph.Edge) bool { return e.Less(f) }
-	if pol == PolicyMaxRank {
-		allow = func(f graph.Edge) bool { return f.Less(e) }
-	}
-	return view.HasPathAvoiding(e.U, e.V, 2*k-1, allow)
+	return build(st, u, k, pol)
 }
 
 // IsDormant reports whether the view classified e as dormant, by binary
@@ -283,29 +161,6 @@ func (v *View) IsDormant(e graph.Edge) bool {
 // (Propositions 1–3 bound it by 3, 2 and 1 at k ≥ n/4, n/3, n/2 given the
 // matching algorithm's preprocessing).
 func (v *View) ActiveDegree() int { return len(v.ActiveRoots) }
-
-// CompOf returns the local component of G'_k(u) containing w, or nil if w
-// is the centre or outside the routing view.
-func (v *View) CompOf(w graph.Vertex) *nbhd.Component {
-	for _, c := range v.Comps {
-		if c.Has(w) {
-			return c
-		}
-	}
-	return nil
-}
-
-// CompRootedAt returns the component having w as a root, or nil.
-func (v *View) CompRootedAt(w graph.Vertex) *nbhd.Component {
-	for _, c := range v.Comps {
-		for _, r := range c.Roots {
-			if r == w {
-				return c
-			}
-		}
-	}
-	return nil
-}
 
 // CacheOptions tune the preprocessor's view cache. The zero value means
 // defaults: DefaultShards lock shards, unbounded capacity.

@@ -2,6 +2,7 @@ package prep
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"klocal/internal/gen"
@@ -19,15 +20,16 @@ func TestDormantOnSmallCycle(t *testing.T) {
 	if !v.IsDormant(graph.NewEdge(1, 0)) {
 		t.Error("IsDormant must normalize edge orientation")
 	}
-	if v.Routing.HasEdge(0, 1) {
+	routing, _ := decode(v.C.Routing)
+	if routing.HasEdge(0, 1) {
 		t.Error("dormant edge must leave the routing subgraph")
 	}
-	if !v.Routing.HasEdge(0, 3) || !v.Routing.HasEdge(2, 3) {
-		t.Errorf("surviving edges missing: %v", v.Routing)
+	if !routing.HasEdge(0, 3) || !routing.HasEdge(2, 3) {
+		t.Errorf("surviving edges missing: %v", routing)
 	}
 	// Vertex 1 sits at routing distance 3 > k and drops out of G'_k(u).
-	if v.Routing.HasVertex(1) {
-		t.Errorf("vertex 1 should be beyond routing depth: %v", v.Routing)
+	if routing.HasVertex(1) {
+		t.Errorf("vertex 1 should be beyond routing depth: %v", routing)
 	}
 }
 
@@ -58,17 +60,17 @@ func TestRoutingViewDepthRestriction(t *testing.T) {
 	// Raw view reaches vertex 4 (0-1-3-4, depth 3); in the routing view 1
 	// is only reachable as 0-2-1, so the tail shifts: 3 stays (depth 3
 	// via 0-2-1-3) but 4 moves to depth 4 and drops out.
-	if !v.Raw.Contains(4) {
+	if !v.C.Raw.Contains(4) {
 		t.Error("raw view should contain vertex 4")
 	}
-	if v.Routing.HasVertex(4) {
+	if v.C.Routing.Contains(4) {
 		t.Error("routing view must drop vertices beyond routing depth k")
 	}
-	if !v.Routing.HasVertex(3) {
+	if !v.C.Routing.Contains(3) {
 		t.Error("routing view should still reach vertex 3 via 2-1")
 	}
-	if v.RoutingDist[1] != 2 {
-		t.Errorf("routing distance to 1 = %d, want 2", v.RoutingDist[1])
+	if _, dist := decode(v.C.Routing); dist[1] != 2 {
+		t.Errorf("routing distance to 1 = %d, want 2", dist[1])
 	}
 }
 
@@ -84,13 +86,12 @@ func TestLemma2AdjacentRoutingEdgesConsistent(t *testing.T) {
 			consistent[e] = true
 		}
 		for _, u := range g.Vertices() {
-			v := Preprocess(g, u, k)
-			v.Routing.EachAdj(u, func(w graph.Vertex) bool {
-				if !consistent[graph.NewEdge(u, w)] {
+			rcv := Preprocess(g, u, k).C.Routing
+			for _, wi := range rcv.Row(rcv.CenterIdx) {
+				if w := rcv.Verts[wi]; !consistent[graph.NewEdge(u, w)] {
 					t.Fatalf("inconsistent routing edge {%d,%d} at u=%d k=%d in %v", u, w, u, k, g)
 				}
-				return true
-			})
+			}
 		}
 	}
 }
@@ -106,8 +107,8 @@ func TestLemma2Converse_AdjacentConsistentEdgesKept(t *testing.T) {
 		consistent := ConsistentEdges(g, k)
 		for _, e := range consistent {
 			for _, u := range []graph.Vertex{e.U, e.V} {
-				v := Preprocess(g, u, k)
-				if !v.Routing.HasEdge(e.U, e.V) {
+				routing, _ := decode(Preprocess(g, u, k).C.Routing)
+				if !routing.HasEdge(e.U, e.V) {
 					t.Fatalf("consistent edge %v missing from G'_k(%d), k=%d, g=%v", e, u, k, g)
 				}
 			}
@@ -198,12 +199,13 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 			}
 		}
 		for _, r := range v.ActiveRoots {
-			c := v.CompRootedAt(r)
-			if c == nil || !c.Active {
-				t.Fatalf("active root %d has no active component", r)
+			ri, ok := v.C.Routing.Index(r)
+			if !ok || v.C.CompIdxOf(ri) < 0 {
+				t.Fatalf("active root %d has no component", r)
 			}
-			if v.CompOf(r) != c {
-				t.Fatalf("CompOf and CompRootedAt disagree for %d", r)
+			c := &v.C.Comps[v.C.CompIdxOf(ri)]
+			if !c.Active || !slices.Contains(c.Roots, ri) {
+				t.Fatalf("active root %d is not a root of an active component", r)
 			}
 		}
 	}
@@ -212,10 +214,14 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 func TestCompOfCenterIsNil(t *testing.T) {
 	g := gen.Path(5)
 	v := Preprocess(g, 2, 2)
-	if v.CompOf(2) != nil {
+	if v.C.CompIdxOf(v.C.Routing.CenterIdx) != -1 {
 		t.Error("the centre belongs to no local component")
 	}
-	if v.CompRootedAt(99) != nil {
+	ref := Reference(g, 2, 2, PolicyMinRank)
+	if ref.CompOf(2) != nil {
+		t.Error("the centre belongs to no reference component")
+	}
+	if ref.CompRootedAt(99) != nil {
 		t.Error("unknown vertex must have no component")
 	}
 }

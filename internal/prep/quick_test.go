@@ -21,16 +21,18 @@ func TestQuickRoutingSubgraphWithinRaw(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
 		v := Preprocess(g, u, k)
-		for _, e := range v.Routing.Edges() {
-			if !v.Raw.G.HasEdge(e.U, e.V) {
+		raw, _ := decode(v.C.Raw)
+		routing, _ := decode(v.C.Routing)
+		for _, e := range routing.Edges() {
+			if !raw.HasEdge(e.U, e.V) {
 				return false
 			}
 			if v.IsDormant(e) {
 				return false
 			}
 		}
-		for _, w := range v.Routing.Vertices() {
-			if !v.Raw.Contains(w) {
+		for _, w := range routing.Vertices() {
+			if !raw.HasVertex(w) {
 				return false
 			}
 		}
@@ -50,11 +52,13 @@ func TestQuickRoutingDistancesBounded(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
 		v := Preprocess(g, u, k)
-		for w, d := range v.RoutingDist {
+		_, rawDist := decode(v.C.Raw)
+		_, routingDist := decode(v.C.Routing)
+		for w, d := range routingDist {
 			if d > k {
 				return false
 			}
-			if raw, ok := v.Raw.Dist[w]; !ok || d < raw {
+			if raw, ok := rawDist[w]; !ok || d < raw {
 				return false
 			}
 		}
@@ -100,11 +104,11 @@ func TestQuickDormantCountsMatchAcrossPolicies(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 2 + rng.Intn(4)
 		for _, pol := range []Policy{PolicyMinRank, PolicyMaxRank} {
-			v := PreprocessPolicy(g, u, k, pol)
-			if !v.Routing.Connected() {
+			routing, _ := decode(PreprocessPolicy(g, u, k, pol).C.Routing)
+			if !routing.Connected() {
 				return false
 			}
-			if !v.Routing.HasVertex(u) {
+			if !routing.HasVertex(u) {
 				return false
 			}
 		}

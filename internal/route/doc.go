@@ -41,14 +41,15 @@ package route
 // The contract is that the k-neighbourhoods extracted from the store
 // are vertex-, distance- and edge-identical to those extracted from the
 // equivalent materialized graph (nbhd.ExtractStore/ExtractCSR vs
-// nbhd.Extract — held by the klocalcheck "csr" property on every
-// scenario), so a store-bound Func walks exactly the walk its
-// graph-bound twin walks; the only thing that changes is what the
-// process holds in memory. A Store must be immutable while bound, just
-// as Graph is; concurrency guarantees above carry over unchanged (the
-// CSR arrays are read-only after load). Only ShortestPathOracle lacks a
-// BindStore — it is defined by whole-graph knowledge, which is exactly
-// what a bounded store view cannot provide.
+// nbhd.Extract), and that the views preprocessed from the store equal
+// the map-based oracle prep.Reference field by field — both held by the
+// klocalcheck "csr" property on every scenario — so a store-bound Func
+// walks exactly the walk its graph-bound twin walks; the only thing
+// that changes is what the process holds in memory. A Store must be
+// immutable while bound, just as Graph is; concurrency guarantees above
+// carry over unchanged (the CSR arrays are read-only after load). Only
+// ShortestPathOracle lacks a BindStore — it is defined by whole-graph
+// knowledge, which is exactly what a bounded store view cannot provide.
 //
 // Model contracts (k-locality, determinism, statelessness) are enforced
 // mechanically on every decision path in this package by the klocalvet

@@ -117,7 +117,7 @@ func TestCorollary4PassiveEntryOnlyForT(t *testing.T) {
 			for i := 1; i < len(res.Route); i++ {
 				u, hop := res.Route[i-1], res.Route[i]
 				view := p.At(u)
-				if view.Raw.Contains(dst) {
+				if view.C.Raw.Contains(dst) {
 					continue // Case 1: shortest-path endgame
 				}
 				isActiveRoot := false

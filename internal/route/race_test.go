@@ -128,19 +128,18 @@ func TestConcurrentViewReads(t *testing.T) {
 				v := p.At(u)
 				_ = v.ActiveDegree()
 				for _, x := range g.Vertices() {
-					if x != u {
-						_ = v.CompOf(x)
+					if xi, ok := v.C.Routing.Index(x); ok && x != u {
+						_ = v.C.Comps[v.C.CompIdxOf(xi)].Active
+					}
+					_ = v.C.NextHopFromCenter(x)
+				}
+				raw := v.C.Raw
+				for a := range raw.Verts {
+					for _, z := range raw.Row(int32(a)) {
+						_ = v.IsDormant(graph.NewEdge(raw.Verts[a], raw.Verts[z]))
 					}
 				}
-				for _, r := range v.ActiveRoots {
-					_ = v.CompRootedAt(r)
-				}
-				for _, e := range v.Raw.G.Edges() {
-					_ = v.IsDormant(e)
-				}
-				_ = v.Routing.String()
-				var no graph.Vertex = graph.NoVertex
-				_ = v.CompOf(no)
+				_ = v.C.NextHopFromCenter(graph.NoVertex)
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
 	"klocal/internal/prep"
@@ -10,16 +11,32 @@ import (
 
 // This file preserves the map-based decision logic the compact routing
 // core replaced: a direct transcription of the rule tables over
-// *graph.Graph views, map distances and component scans. It exists to
-// pin the compact path — the *Ref algorithms must produce hop-for-hop
-// identical walks (TestCompactStepMatchesRef and the klocalcheck
-// "compact" property), and any divergence is a bug in the compact
-// encoding, not in these functions. Nothing here runs on production
-// decision paths.
+// *graph.Graph views, map distances and component scans, reading the
+// map-based oracle views of prep.Reference. It exists to pin the
+// compact path — the *Ref algorithms must produce hop-for-hop identical
+// walks (TestCompactStepMatchesRef and the klocalcheck "compact"
+// property), and any divergence is a bug in the compact encoding, not
+// in these functions. Nothing here runs on production decision paths.
+
+// refViews holds the oracle view of every vertex, built at bind time so
+// the decision path only reads it.
+type refViews map[graph.Vertex]*prep.RefView
+
+func newRefViews(st bigraph.Store, k int, pol prep.Policy) refViews {
+	views := make(refViews, st.N())
+	st.EachVertex(func(u graph.Vertex) bool {
+		views[u] = prep.Reference(st, u, k, pol)
+		return true
+	})
+	return views
+}
+
+// refineU2Ref is refineU2 over an oracle view.
+type refineU2Ref func(view *prep.RefView, s, t, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex
 
 // caseOneHopRef is the reference Case 1 decision: a fresh BFS through
 // the raw view per hop.
-func caseOneHopRef(view *prep.View, t, u graph.Vertex) graph.Vertex {
+func caseOneHopRef(view *prep.RefView, t, u graph.Vertex) graph.Vertex {
 	if !view.Raw.Contains(t) {
 		return graph.NoVertex
 	}
@@ -27,7 +44,7 @@ func caseOneHopRef(view *prep.View, t, u graph.Vertex) graph.Vertex {
 }
 
 // classifyArrivalRef resolves the predecessor v by scanning components.
-func classifyArrivalRef(view *prep.View, s, v graph.Vertex, originAware bool) (arrival, int) {
+func classifyArrivalRef(view *prep.RefView, s, v graph.Vertex, originAware bool) (arrival, int) {
 	if v == graph.NoVertex {
 		return arrivalFirst, -1
 	}
@@ -45,7 +62,7 @@ func classifyArrivalRef(view *prep.View, s, v graph.Vertex, originAware bool) (a
 }
 
 // kindAtRef resolves the rule family by scanning components.
-func kindAtRef(view *prep.View, s, u graph.Vertex) ruleKind {
+func kindAtRef(view *prep.RefView, s, u graph.Vertex) ruleKind {
 	if u == s {
 		return rulesS
 	}
@@ -56,8 +73,8 @@ func kindAtRef(view *prep.View, s, u graph.Vertex) ruleKind {
 }
 
 // stepAwareRef is the reference body of Algorithms 1 and 1B.
-func stepAwareRef(p *prep.Preprocessor, s, t, u, v graph.Vertex, refine refineU2) (graph.Vertex, error) {
-	view := p.At(u)
+func stepAwareRef(views refViews, s, t, u, v graph.Vertex, refine refineU2Ref) (graph.Vertex, error) {
+	view := views[u]
 	if hop := caseOneHopRef(view, t, u); hop != graph.NoVertex {
 		return hop, nil
 	}
@@ -72,7 +89,7 @@ func stepAwareRef(p *prep.Preprocessor, s, t, u, v graph.Vertex, refine refineU2
 }
 
 // anticipateU2Ref is the reference Rules U2b–U2f hook over map state.
-func anticipateU2Ref(view *prep.View, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex {
+func anticipateU2Ref(view *prep.RefView, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex {
 	ds, ok := view.RoutingDist[s]
 	if !ok || ds >= view.K || s == u {
 		return graph.NoVertex
@@ -97,7 +114,7 @@ type simBranchRef struct {
 
 // simulatesBounceRef is the reference bounce simulation: a graph copy
 // and fresh BFS maps per simulated step.
-func simulatesBounceRef(view *prep.View, s, first graph.Vertex) bool {
+func simulatesBounceRef(view *prep.RefView, s, first graph.Vertex) bool {
 	prev, cur := view.Center, first
 	for step := 0; step < 4*view.K+4; step++ {
 		if view.RoutingDist[cur] >= view.K {
@@ -140,7 +157,7 @@ func simulatesBounceRef(view *prep.View, s, first graph.Vertex) bool {
 
 // simBranchesRef classifies the branches around cur within u's routing
 // view, the map way.
-func simBranchesRef(view *prep.View, cur, s graph.Vertex) []simBranchRef {
+func simBranchesRef(view *prep.RefView, cur, s graph.Vertex) []simBranchRef {
 	without := view.Routing.WithoutVertex(cur)
 	distCur := view.Routing.BFS(cur)
 	var out []simBranchRef
@@ -220,48 +237,44 @@ func alg3StepRef(view *nbhd.Neighborhood, t, u graph.Vertex) (graph.Vertex, erro
 	return hop, nil
 }
 
-// Algorithm1Ref is the reference build of Algorithm 1 over the retained
-// map-based step. Differential tests only.
-func Algorithm1Ref() Algorithm {
-	a := Algorithm1()
-	a.Name = "Algorithm1Ref"
-	bind := func(p *prep.Preprocessor) Func {
-		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			return stepAwareRef(p, s, t, u, v, nil)
-		}
+// refBuild turns a production algorithm into its reference twin: the
+// same metadata, with the decision step bound over oracle views.
+func refBuild(a Algorithm, name string, step func(views refViews) Func) Algorithm {
+	a.Name = name
+	a.BindCached = func(p *prep.Preprocessor) Func {
+		return step(newRefViews(p.Store(), p.K(), p.Policy()))
 	}
-	a.BindCached = bind
 	a.Bind = func(g *graph.Graph, k int) Func {
-		return bind(prep.NewPreprocessorPolicy(g, k, a.Policy))
+		return step(newRefViews(g, k, a.Policy))
 	}
 	a.BindStore = nil
 	return a
+}
+
+// Algorithm1Ref is the reference build of Algorithm 1 over the retained
+// map-based step. Differential tests only.
+func Algorithm1Ref() Algorithm {
+	return refBuild(Algorithm1(), "Algorithm1Ref", func(views refViews) Func {
+		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+			return stepAwareRef(views, s, t, u, v, nil)
+		}
+	})
 }
 
 // Algorithm1BRef is the reference build of Algorithm 1B.
 func Algorithm1BRef() Algorithm {
-	a := Algorithm1B()
-	a.Name = "Algorithm1BRef"
-	bind := func(p *prep.Preprocessor) Func {
+	return refBuild(Algorithm1B(), "Algorithm1BRef", func(views refViews) Func {
 		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			return stepAwareRef(p, s, t, u, v, anticipateU2Ref)
+			return stepAwareRef(views, s, t, u, v, anticipateU2Ref)
 		}
-	}
-	a.BindCached = bind
-	a.Bind = func(g *graph.Graph, k int) Func {
-		return bind(prep.NewPreprocessorPolicy(g, k, a.Policy))
-	}
-	a.BindStore = nil
-	return a
+	})
 }
 
 // Algorithm2Ref is the reference build of Algorithm 2.
 func Algorithm2Ref() Algorithm {
-	a := Algorithm2()
-	a.Name = "Algorithm2Ref"
-	bind := func(p *prep.Preprocessor) Func {
+	return refBuild(Algorithm2(), "Algorithm2Ref", func(views refViews) Func {
 		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-			view := p.At(u)
+			view := views[u]
 			if hop := caseOneHopRef(view, t, u); hop != graph.NoVertex {
 				return hop, nil
 			}
@@ -273,13 +286,7 @@ func Algorithm2Ref() Algorithm {
 			from, idx := classifyArrivalRef(view, graph.NoVertex, v, false)
 			return decideActive(rulesU, roots, from, idx)
 		}
-	}
-	a.BindCached = bind
-	a.Bind = func(g *graph.Graph, k int) Func {
-		return bind(prep.NewPreprocessorPolicy(g, k, a.Policy))
-	}
-	a.BindStore = nil
-	return a
+	})
 }
 
 // Algorithm3Ref is the reference build of Algorithm 3.

@@ -313,38 +313,24 @@ func Algorithm2Policy(pol prep.Policy) Algorithm {
 // not visible, u has exactly one constrained active component
 // (Lemma 12) and the message moves toward its furthest constraint vertex.
 func Algorithm3() Algorithm {
+	bind := func(st bigraph.Store, k int) Func {
+		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			sc := alg3Scratch.Get().(*nbhd.Scratch)
+			defer alg3Scratch.Put(sc)
+			if !sc.ExtractStore(st, u, k) {
+				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
+				return graph.NoVertex, fmt.Errorf("%w: current node outside network", ErrNoRoute)
+			}
+			return alg3StepCompact(sc, t)
+		}
+	}
 	return Algorithm{
 		Name:             "Algorithm3",
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             MinK3,
-		Bind: func(g *graph.Graph, k int) Func {
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-				sc := alg3Scratch.Get().(*nbhd.Scratch)
-				defer alg3Scratch.Put(sc)
-				if !sc.ExtractGraph(g, u, k) {
-					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-					return graph.NoVertex, fmt.Errorf("%w: current node outside network", ErrNoRoute)
-				}
-				return alg3StepCompact(sc, t)
-			}
-		},
-		BindStore: func(st bigraph.Store, k int) Func {
-			if c, ok := st.(*bigraph.CSR); ok {
-				return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-					sc := alg3Scratch.Get().(*nbhd.Scratch)
-					defer alg3Scratch.Put(sc)
-					if !sc.ExtractCSR(c, u, k) {
-						//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-						return graph.NoVertex, fmt.Errorf("%w: current node outside network", ErrNoRoute)
-					}
-					return alg3StepCompact(sc, t)
-				}
-			}
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-				return alg3StepRef(nbhd.ExtractStore(st, u, k), t, u)
-			}
-		},
+		Bind:             func(g *graph.Graph, k int) Func { return bind(g, k) },
+		BindStore:        bind,
 	}
 }
 

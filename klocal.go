@@ -528,6 +528,9 @@ var (
 	// NewCSRScratch allocates the reusable scratch for zero-alloc
 	// CSR.Extract calls.
 	NewCSRScratch = bigraph.NewScratch
+	// PreprocessStore computes the view at a vertex of any GraphStore
+	// under an explicit dormancy policy, int-indexed end to end.
+	PreprocessStore = prep.PreprocessStore
 	// NewSnapshotStore binds an algorithm to any GraphStore; walks over
 	// store-backed snapshots leave Result.Dist at 0 (unknown).
 	NewSnapshotStore = engine.NewSnapshotStore
