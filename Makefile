@@ -92,14 +92,15 @@ go-fuzz-smoke:
 # sharded preprocessing cache, the routing daemon's hot-swap/drain
 # machinery, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
-# extraction (shared-Scratch misuse shows up here first), and the shared
-# routing closures the engine's workers route through.
+# extraction (shared-Scratch misuse shows up here first), the
+# simulator's walk and its scratch, and the shared routing closures the
+# engine's workers route through.
 race:
 	$(GO) test -race -count=1 \
 		./internal/netsim/... ./internal/fault/... \
 		./internal/engine/... ./internal/metrics/... ./internal/prep/... \
 		./internal/serve/... ./internal/cluster/... ./internal/bigraph/... \
-		./internal/nbhd/... ./internal/graph/...
+		./internal/nbhd/... ./internal/graph/... ./internal/sim/...
 	$(GO) test -race -count=1 -run Concurrent ./internal/route/...
 	$(MAKE) go-fuzz-smoke
 

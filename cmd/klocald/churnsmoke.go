@@ -50,7 +50,7 @@ func runChurnSmoke(drain time.Duration) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	//klocal:allow churn-smoke server; the run closes the listener on return, unblocking Serve
 	go func() { errc <- hs.Serve(ln) }()

@@ -141,7 +141,7 @@ func runCluster(opt clusterOptions) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: m.Handler()}
+	hs := newHTTPServer(m.Handler())
 	fmt.Fprintf(os.Stderr, "klocald: cluster member %d listening on %s (shard %s, %s, seeds %v)\n",
 		m.Index(), ln.Addr(), opt.shard, opt.spec, opt.join)
 	m.Start()
@@ -188,7 +188,7 @@ func startSmokeMember(opt clusterOptions) (*smokeMember, error) {
 		ln.Close()
 		return nil, err
 	}
-	sm := &smokeMember{m: m, ln: ln, hs: &http.Server{Handler: m.Handler()}}
+	sm := &smokeMember{m: m, ln: ln, hs: newHTTPServer(m.Handler())}
 	//klocal:allow smoke-member server; kill() closes the listener, unblocking Serve
 	go sm.hs.Serve(ln)
 	m.Start()

@@ -161,7 +161,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	fmt.Fprintf(os.Stderr, "klocald: listening on %s (%s, algos %s)\n",
 		ln.Addr(), cfg.Graph, *algos)
 
@@ -186,6 +186,22 @@ func main() {
 	for _, rep := range s.FinalReports() {
 		rep.WriteText(os.Stderr)
 	}
+}
+
+// Connection timeouts for every klocald listener. Request bodies are
+// capped per route by the serve handlers (serve.MaxRouteBody etc.).
+const (
+	// headerTimeout bounds reading a request's headers, so a client that
+	// trickles them cannot hold a connection open.
+	headerTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections left idle this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server a klocald listener serves h
+// with: bounded header reads and idle keep-alives.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(err error) {
@@ -215,7 +231,7 @@ func runSmoke(cfg serve.Config, drain time.Duration) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	//klocal:allow smoke server; the run closes the listener on return, unblocking Serve
 	go func() { errc <- hs.Serve(ln) }()

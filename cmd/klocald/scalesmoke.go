@@ -71,7 +71,7 @@ func runScaleSmoke(drain time.Duration) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	//klocal:allow smoke-run server; the process exits when the run completes
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()

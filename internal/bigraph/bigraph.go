@@ -25,8 +25,9 @@ package bigraph
 import "klocal/internal/graph"
 
 // Store is the minimal read-only graph surface the routing stack needs:
-// sizes, membership, and sorted adjacency iteration. The contract mirrors
-// graph.Graph exactly:
+// sizes, membership, sorted adjacency iteration, and the dense index
+// space (Index, VertexAt, Row) that int-indexed consumers such as the
+// simulator's walk run in. The contract mirrors graph.Graph exactly:
 //
 //   - vertices are identified by their graph.Vertex label; labels induce
 //     the paper's canonical rank order, so EachAdj MUST iterate
@@ -34,6 +35,8 @@ import "klocal/internal/graph"
 //     the routing algorithms depends on it;
 //   - the topology is an undirected simple graph: HasEdge is symmetric,
 //     no self-loops, no parallel edges;
+//   - dense indices 0..N()-1 are assigned in ascending label order, so
+//     index order is label order and a row is sorted both ways;
 //   - a Store is immutable once published and safe for concurrent
 //     readers with no external locking.
 type Store interface {
@@ -53,6 +56,16 @@ type Store interface {
 	EachVertex(fn func(v graph.Vertex) bool)
 	// HasEdge reports whether {u, v} is an edge.
 	HasEdge(u, v graph.Vertex) bool
+	// Index resolves a label to its dense index in [0, N()), reporting
+	// presence. Index order is label order.
+	Index(v graph.Vertex) (int32, bool)
+	// VertexAt returns the label of dense index i (inverse of Index).
+	VertexAt(i int32) graph.Vertex
+	// Row returns the neighbours of dense index i as dense indices in
+	// strictly ascending order. The slice aliases the store: callers
+	// must not modify it, and must not retain it past the store's
+	// lifetime. It must not allocate.
+	Row(i int32) []int32
 }
 
 // The in-memory graph substrate is itself a Store: existing call sites

@@ -37,7 +37,7 @@ func TestExtractMatchesNbhd(t *testing.T) {
 					t.Fatalf("u=%d k=%d: %d view vertices, want %d", u, k, len(sc.Verts), len(want.Dist))
 				}
 				for i, vi := range sc.Verts {
-					v := c.Label(vi)
+					v := c.VertexAt(vi)
 					wd, ok := want.Dist[v]
 					if !ok {
 						t.Fatalf("u=%d k=%d: vertex %d not in nbhd view", u, k, v)
@@ -51,7 +51,7 @@ func TestExtractMatchesNbhd(t *testing.T) {
 						u, k, len(sc.Edges), want.G.M(), want.G)
 				}
 				for _, e := range sc.Edges {
-					a, b := c.Label(e[0]), c.Label(e[1])
+					a, b := c.VertexAt(e[0]), c.VertexAt(e[1])
 					if !want.G.HasEdge(a, b) {
 						t.Fatalf("u=%d k=%d: extra view edge {%d,%d}", u, k, a, b)
 					}

@@ -21,22 +21,27 @@ const warmRouteAllocGate = 0
 // TestWarmRouteAllocsGate is the zero-alloc regression gate on the warm
 // serving path: Snapshot.RouteScratch with a reused scratch, all views
 // prewarmed, must not allocate at all. Covers the plain compact path
-// (Algorithm 2) and the bounce-simulation path (Algorithm 1B), which
-// exercises nbhd.BounceScratch reuse through route's simPool.
+// (Algorithm 2), the bounce-simulation path (Algorithm 1B), which
+// exercises nbhd.BounceScratch reuse through route's simPool, and the
+// long-walk shape of perfbench's engine-walk workload (Algorithm 2 at
+// its threshold on a 300-cycle), whose walks of 147+ hops outgrow the
+// simulator's initial loop-detection set during warm-up.
 func TestWarmRouteAllocsGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	algs := []struct {
+	cases := []struct {
 		name string
 		alg  route.Algorithm
+		g    *graph.Graph
 	}{
-		{"Algorithm2", route.Algorithm2()},
-		{"Algorithm1B", route.Algorithm1B()},
+		{"Algorithm2", route.Algorithm2(), testGraph(24)},
+		{"Algorithm1B", route.Algorithm1B(), testGraph(24)},
+		{"Algorithm2-cycle300", route.Algorithm2(), gen.Cycle(300)},
 	}
-	for _, tc := range algs {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := testGraph(24)
+			g := tc.g
 			snap, err := NewSnapshotOpts(g, 0, tc.alg, SnapshotOptions{Prewarm: -1})
 			if err != nil {
 				t.Fatal(err)

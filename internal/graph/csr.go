@@ -72,10 +72,10 @@ func (g *Graph) Row(i int32) []int32 {
 }
 
 // SearchScratch is caller-owned working memory for the int-indexed
-// search primitives (DistScratch, BFSIndexed): an epoch-marked visited
-// array, a distance array and a queue, all sized to the largest graph
-// seen and then reused without allocating. Not safe for concurrent use;
-// give each worker its own.
+// search primitive DistScratch: an epoch-marked visited array, a
+// distance array and a queue, all sized to the largest graph seen and
+// then reused without allocating. Not safe for concurrent use; give
+// each worker its own.
 type SearchScratch struct {
 	mark  []uint32
 	dist  []int32
@@ -131,12 +131,14 @@ func (g *Graph) DistScratch(u, v Vertex, sc *SearchScratch) int {
 	if ui == vi {
 		return 0
 	}
+	// Load the mirror once: Row would pass through csrOnce per vertex.
+	m := g.ensureMirror()
 	sc.begin(len(g.vertices))
 	sc.visit(ui, 0)
 	for head := 0; head < len(sc.queue); head++ {
 		x := sc.queue[head]
 		d := sc.dist[x]
-		for _, y := range g.Row(x) {
+		for _, y := range m.to[m.start[x]:m.start[x+1]] {
 			if sc.seen(y) {
 				continue
 			}

@@ -282,7 +282,7 @@ func (sc *Scratch) ExtractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 //
 //klocal:hotpath
 func (sc *Scratch) ExtractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
-	root, ok := c.IndexOf(u)
+	root, ok := c.Index(u)
 	if !ok || k < 0 {
 		return false
 	}
@@ -309,7 +309,7 @@ func (sc *Scratch) ExtractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
 	sc.dist = sc.dist[:0]
 	for li, gi := range sc.gorder {
 		sc.glocal[gi] = int32(li)
-		sc.verts = append(sc.verts, c.Label(gi))
+		sc.verts = append(sc.verts, c.VertexAt(gi))
 		sc.dist = append(sc.dist, sc.gdist[gi])
 	}
 	sc.setView(u, k)

@@ -58,12 +58,12 @@ func ExtractCSR(c *bigraph.CSR, u graph.Vertex, k int, sc *bigraph.Scratch) (*Ne
 	dist := make(map[graph.Vertex]int, len(sc.Verts))
 	b := graph.NewBuilder()
 	for i, vi := range sc.Verts {
-		v := c.Label(vi)
+		v := c.VertexAt(vi)
 		dist[v] = int(sc.Dists[i])
 		b.AddVertex(v)
 	}
 	for _, e := range sc.Edges {
-		b.AddEdge(c.Label(e[0]), c.Label(e[1]))
+		b.AddEdge(c.VertexAt(e[0]), c.VertexAt(e[1]))
 	}
 	return &Neighborhood{Center: u, K: k, G: b.Build(), Dist: dist}, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -95,15 +96,88 @@ func (sp GraphSpec) BuildStore() (bigraph.Store, error) {
 	return g, nil
 }
 
+// Size limits on the topologies Build materializes. A map-based
+// graph.Graph costs on the order of 100 bytes per edge, so one build
+// stays within a few hundred MB. Million-node graphs are served
+// store-backed from a file (kind "file"), which these limits leave alone.
+const (
+	// MaxGraphVertices caps Size for the generator kinds.
+	MaxGraphVertices = 1 << 18
+	// MaxGraphEdges caps the edge count a spec implies: the explicit
+	// list's length for kind "edges", the generator's count (expected
+	// count for "random") otherwise.
+	MaxGraphEdges = 1 << 21
+)
+
+// ErrGraphTooLarge is wrapped into Build's error when a spec exceeds
+// MaxGraphVertices or MaxGraphEdges; PUT /graph answers it with 400.
+var ErrGraphTooLarge = errors.New("serve: graph spec exceeds the size limits")
+
+// minSize is the smallest Size each generator kind can build.
+func minSize(kind string) int {
+	switch kind {
+	case "barbell":
+		return 6 // two 2-cliques and a 2-vertex bridge
+	case "spider":
+		return 5 // four arms of one vertex each
+	case "lollipop", "wheel":
+		return 4
+	case "cycle":
+		return 3
+	default:
+		return 2
+	}
+}
+
+// impliedEdges is the number of edges the spec's generator builds (the
+// expected number for "random"), computed in float64 so that no Size
+// can overflow it.
+func (sp GraphSpec) impliedEdges() float64 {
+	n := float64(sp.Size)
+	switch sp.Kind {
+	case "edges":
+		return float64(len(sp.Edges))
+	case "complete":
+		return n * (n - 1) / 2
+	case "random":
+		return n - 1 + min(sp.P, 1)*n*(n-1)/2
+	case "barbell":
+		c := float64((sp.Size - 2) / 2)
+		return c*(c-1) + n
+	case "wheel", "grid":
+		return 2 * n
+	default:
+		return n
+	}
+}
+
+// checkSize rejects a spec that is too small for its generator or
+// larger than the limits, before anything is allocated.
+func (sp GraphSpec) checkSize() error {
+	if sp.Kind != "edges" {
+		if sp.Size < minSize(sp.Kind) {
+			return fmt.Errorf("serve: %s graph size %d too small (minimum %d)", sp.Kind, sp.Size, minSize(sp.Kind))
+		}
+		if sp.Size > MaxGraphVertices {
+			return fmt.Errorf("%w: size %d > %d vertices", ErrGraphTooLarge, sp.Size, MaxGraphVertices)
+		}
+	}
+	if m := sp.impliedEdges(); m > MaxGraphEdges {
+		return fmt.Errorf("%w: %s implies %.3g edges > %d", ErrGraphTooLarge, sp, m, MaxGraphEdges)
+	}
+	return nil
+}
+
 // Build constructs the (deterministic) graph the spec describes. Kind
-// "file" has no materialized graph — use BuildStore.
+// "file" has no materialized graph — use BuildStore. Specs beyond
+// MaxGraphVertices or MaxGraphEdges fail with ErrGraphTooLarge.
 func (sp GraphSpec) Build() (*graph.Graph, error) {
 	sp = sp.withDefaults()
 	if sp.Kind == "file" {
 		return nil, fmt.Errorf("serve: kind \"file\" is store-backed; use BuildStore")
 	}
-	if sp.Kind != "edges" && sp.Size < 2 {
-		return nil, fmt.Errorf("serve: graph size %d too small", sp.Size)
+	if err := sp.checkSize(); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(sp.Seed))
 	var g *graph.Graph

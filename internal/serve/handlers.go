@@ -128,6 +128,38 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// Request body caps. A handler reads its body through
+// http.MaxBytesReader and answers 413 once the body passes its cap.
+const (
+	// MaxRouteBody caps a POST /route body.
+	MaxRouteBody = 64 << 10
+	// MaxBatchBody caps a POST /batch body (~400k pairs).
+	MaxBatchBody = 8 << 20
+	// MaxGraphBody caps a PUT /graph body; an explicit edge list near
+	// MaxGraphEdges needs about this much JSON.
+	MaxGraphBody = 32 << 20
+	// MaxDeltaBody caps a PATCH /graph body.
+	MaxDeltaBody = 8 << 20
+)
+
+// decode reads r's JSON body, capped at limit bytes, into v. On failure
+// it answers the request itself — 413 past the cap, 400 otherwise,
+// naming the body as what — and returns false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s exceeds %d bytes", what, tooBig.Limit))
+		return false
+	}
+	s.fail(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+	return false
+}
+
 type errorReply struct {
 	Error string `json:"error"`
 }
@@ -173,8 +205,7 @@ func (d *deployment) reply(ae *algEngine, resp engine.Response, withTrace bool) 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	s.httpRequests.Add(1)
 	var req RouteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decode(w, r, MaxRouteBody, "request body", &req) {
 		return
 	}
 	d, err := s.current()
@@ -208,8 +239,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.httpRequests.Add(1)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decode(w, r, MaxBatchBody, "request body", &req) {
 		return
 	}
 	if len(req.Pairs) == 0 {
@@ -254,8 +284,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var spec GraphSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad graph spec: %w", err))
+	if !s.decode(w, r, MaxGraphBody, "graph spec", &spec) {
 		return
 	}
 	nd, err := s.Swap(spec)

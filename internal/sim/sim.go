@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 )
 
@@ -111,39 +112,113 @@ type Options struct {
 	PredecessorAware bool
 }
 
-// Network is the minimal topology surface the simulator needs: sizes for
-// the default step budget and edge membership for hop legality. Both
-// *graph.Graph and the bigraph stores satisfy it.
-type Network interface {
-	N() int
-	M() int
-	HasEdge(u, v graph.Vertex) bool
-}
-
-// dirEdge is the loop-detection state for predecessor-aware walks.
-type dirEdge struct{ from, to graph.Vertex }
+// Network is the topology surface the simulator walks: the bigraph
+// Store contract. The walk runs in its dense index space (Index, Row,
+// VertexAt), so hop legality is a binary search in the current row and
+// loop detection keys on packed indices. Both *graph.Graph and the
+// bigraph stores satisfy it.
+type Network = bigraph.Store
 
 // Scratch is caller-owned working memory for RunScratch/RunStoreScratch:
-// the route buffer, the loop-detection sets (cleared, not reallocated,
-// per run) and the distance search's banks, all grown to a high-water
-// mark and then reused without allocating. The Result returned by the
-// scratch-taking entry points is owned by the scratch — its Route
-// aliases the internal buffer and the next run overwrites both; Clone it
-// to retain it. Not safe for concurrent use; give each worker its own.
+// the route buffer, the loop-detection state set (emptied in O(1) per
+// run by an epoch bump) and the distance search's banks, all grown to a
+// high-water mark and then reused without allocating. The Result
+// returned by the scratch-taking entry points is owned by the scratch —
+// its Route aliases the internal buffer and the next run overwrites
+// both; Clone it to retain it. Not safe for concurrent use; give each
+// worker its own.
 type Scratch struct {
-	route     []graph.Vertex
-	seenEdges map[dirEdge]bool
-	seenNodes map[graph.Vertex]bool
-	search    *graph.SearchScratch
-	res       Result
+	route  []graph.Vertex
+	seen   stateSet
+	search *graph.SearchScratch
+	res    Result
 }
 
 // NewScratch returns a ready scratch; the first run sizes it.
 func NewScratch() *Scratch {
-	return &Scratch{
-		seenEdges: make(map[dirEdge]bool),
-		seenNodes: make(map[graph.Vertex]bool),
-		search:    graph.NewSearchScratch(),
+	return &Scratch{search: graph.NewSearchScratch()}
+}
+
+// stateSet is the livelock detector's set of visited decision states,
+// keyed by packed dense indices: open addressing with linear probing,
+// each slot stamped with the epoch that wrote it. reset empties it in
+// O(1) by bumping the epoch, and insert doubles the table once it is
+// half full, so its size follows the longest walk seen, not the graph.
+type stateSet struct {
+	slots []stateSlot
+	shift uint // 64 − log2(len(slots)): the Fibonacci hash's shift
+	used  int
+	epoch uint32
+}
+
+type stateSlot struct {
+	key   uint64
+	epoch uint32
+}
+
+// minStateSlots is the set's initial capacity.
+const (
+	minStateBits  = 6
+	minStateSlots = 1 << minStateBits
+)
+
+// fibMul is 2⁶⁴/φ, the Fibonacci hashing multiplier.
+const fibMul = 0x9E3779B97F4A7C15
+
+// reset empties the set for a new walk.
+//
+//klocal:hotpath
+func (ss *stateSet) reset() {
+	if ss.slots == nil {
+		//klocal:allow sized once per scratch, then reused; steady state pinned by TestWarmRouteAllocsGate
+		ss.slots = make([]stateSlot, minStateSlots)
+		ss.shift = 64 - minStateBits
+	}
+	ss.used = 0
+	ss.epoch++
+	if ss.epoch == 0 { // uint32 wrap: every stamp is stale garbage
+		clear(ss.slots)
+		ss.epoch = 1
+	}
+}
+
+// insert adds key, reporting whether it was already in the set.
+//
+//klocal:hotpath
+func (ss *stateSet) insert(key uint64) bool {
+	mask := len(ss.slots) - 1
+	for i := int(key * fibMul >> ss.shift); ; i = (i + 1) & mask {
+		sl := &ss.slots[i]
+		if sl.epoch != ss.epoch {
+			if 2*(ss.used+1) > len(ss.slots) {
+				ss.grow()
+				return ss.insert(key)
+			}
+			sl.key, sl.epoch = key, ss.epoch
+			ss.used++
+			return false
+		}
+		if sl.key == key {
+			return true
+		}
+	}
+}
+
+// grow doubles the table and re-inserts this walk's states.
+func (ss *stateSet) grow() {
+	old := ss.slots
+	ss.slots = make([]stateSlot, 2*len(old))
+	ss.shift--
+	mask := len(ss.slots) - 1
+	for _, sl := range old {
+		if sl.epoch != ss.epoch {
+			continue
+		}
+		i := int(sl.key * fibMul >> ss.shift)
+		for ss.slots[i].epoch == ss.epoch {
+			i = (i + 1) & mask
+		}
+		ss.slots[i] = sl
 	}
 }
 
@@ -200,13 +275,12 @@ func run(g Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Resul
 		}
 	}
 	if opts.DetectLoops {
-		if opts.PredecessorAware {
-			clear(sc.seenEdges)
-		} else {
-			clear(sc.seenNodes)
-		}
+		sc.seen.reset()
 	}
 
+	// The walk carries the current vertex's dense index ui beside its
+	// label u. An absent s leaves ok false, so its first hop is illegal.
+	ui, ok := g.Index(s)
 	u, v := s, graph.NoVertex
 	for step := 0; step < maxSteps; step++ {
 		next, err := f(s, t, u, v)
@@ -215,31 +289,31 @@ func run(g Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Resul
 			res.Err = err
 			return res
 		}
-		if !g.HasEdge(u, next) {
+		var ni int32
+		if ok {
+			ni, ok = rowIndex(g, g.Row(ui), next)
+		}
+		if !ok {
 			res.Outcome = Errored
 			//klocal:allow cold error path: an illegal hop aborts the walk
 			res.Err = fmt.Errorf("%w: %d -> %d", ErrIllegalHop, u, next)
 			return res
 		}
 		if opts.DetectLoops {
+			// The decision state: the directed edge u→next for
+			// predecessor-aware walks, the node u for oblivious ones.
+			key := uint64(uint32(ui))
 			if opts.PredecessorAware {
-				e := dirEdge{from: u, to: next}
-				if sc.seenEdges[e] {
-					res.Outcome = Looped
-					return res
-				}
-				sc.seenEdges[e] = true
-			} else {
-				if sc.seenNodes[u] {
-					res.Outcome = Looped
-					return res
-				}
-				sc.seenNodes[u] = true
+				key = key<<32 | uint64(uint32(ni))
+			}
+			if sc.seen.insert(key) {
+				res.Outcome = Looped
+				return res
 			}
 		}
 		sc.route = append(sc.route, next)
 		res.Route = sc.route
-		u, v = next, u
+		u, v, ui = next, u, ni
 		if u == t {
 			res.Outcome = Delivered
 			return res
@@ -247,4 +321,25 @@ func run(g Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Resul
 	}
 	res.Outcome = Exhausted
 	return res
+}
+
+// rowIndex binary-searches label w among row, a row of g's dense
+// indices. Rows ascend and index order is label order, so their labels
+// ascend too; a hit returns w's index.
+//
+//klocal:hotpath
+func rowIndex(g Network, row []int32, w graph.Vertex) (int32, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.VertexAt(row[mid]) < w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(row) && g.VertexAt(row[lo]) == w {
+		return row[lo], true
+	}
+	return 0, false
 }
