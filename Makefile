@@ -89,7 +89,7 @@ go-fuzz-smoke:
 
 # The concurrency-heavy code paths: the fault-tolerant discovery
 # protocol and injector, the traffic engine and its metric shards, the
-# sharded preprocessing cache, the routing daemon's hot-swap/drain
+# preprocessing view table, the routing daemon's hot-swap/drain
 # machinery, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
 # extraction (shared-Scratch misuse shows up here first), the

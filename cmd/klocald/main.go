@@ -44,6 +44,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generator seed")
 		p          = flag.Float64("p", 0.1, "extra-edge probability for -graph random")
 		graphFile  = flag.String("graph-file", "", "graph file (overrides the generator flags): .json GraphSpec, or a topology to serve store-backed — binary .csr (mmap'd) or edge list .txt/.txt.gz")
+		graphDir   = flag.String("graph-dir", "", "directory PUT /graph may load kind \"file\" topologies from (empty = refuse every file spec a client sends)")
 		workers    = flag.Int("workers", 0, "routing workers per algorithm (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "engine queue depth (0 = 4 × workers)")
 		maxSteps   = flag.Int("max-steps", 0, "per-walk step budget (0 = simulator default)")
@@ -90,7 +91,12 @@ func main() {
 			}
 		}
 	}
+	dir, err := graphDirFlag(*graphDir)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := serve.Config{
+		GraphDir:        dir,
 		Graph:           spec,
 		Algorithms:      splitCSV(*algos),
 		K:               *k,
@@ -186,6 +192,22 @@ func main() {
 	for _, rep := range s.FinalReports() {
 		rep.WriteText(os.Stderr)
 	}
+}
+
+// graphDirFlag validates -graph-dir: empty stays empty (clients may not
+// name files at all), anything else must be an existing directory.
+func graphDirFlag(dir string) (string, error) {
+	if dir == "" {
+		return "", nil
+	}
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return "", fmt.Errorf("-graph-dir: %w", err)
+	}
+	if !fi.IsDir() {
+		return "", fmt.Errorf("-graph-dir: %s is not a directory", dir)
+	}
+	return dir, nil
 }
 
 // Connection timeouts for every klocald listener. Request bodies are

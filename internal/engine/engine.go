@@ -94,8 +94,9 @@ type task struct {
 // Engine routes requests concurrently over one Snapshot using a fixed
 // worker pool. Requests enter through a bounded queue (Submit blocks when
 // it is full); every worker records into its own metrics shard, so the
-// hot path takes no shared locks beyond the snapshot's sharded view
-// cache. An Engine is a single session: use it, Close it, read Report.
+// warm hot path takes no shared locks (the snapshot's view cache locks
+// only on misses, and only when bounded). An Engine is a single
+// session: use it, Close it, read Report.
 type Engine struct {
 	// snap is the snapshot the workers route over, behind an atomic
 	// pointer so SwapSnapshot can hot-swap topology epochs mid-traffic:

@@ -4,8 +4,8 @@
 // The pieces:
 //
 //   - Snapshot: an immutable binding of (network, locality, algorithm)
-//     whose per-vertex preprocessing lives behind a sharded,
-//     lazily-populated, size-bounded cache (prep.Preprocessor), so the
+//     whose per-vertex preprocessing lives behind a lazily-populated,
+//     optionally size-bounded view table (prep.Preprocessor), so the
 //     paper's "preprocessing need not be repeated" observation is
 //     realized once per source vertex instead of once per message.
 //
@@ -31,7 +31,8 @@ import (
 // Snapshot is an immutable view of a network bound to one algorithm at
 // one locality. It is safe for concurrent use: the graph never mutates,
 // the routing function is shared (see route's goroutine-safety
-// contracts), and preprocessing is cached behind the sharded view cache.
+// contracts), and preprocessing is cached in the preprocessor's view
+// table.
 // Build a new Snapshot when the topology changes.
 type Snapshot struct {
 	st  bigraph.Store
@@ -44,7 +45,7 @@ type Snapshot struct {
 
 // SnapshotOptions tune snapshot construction.
 type SnapshotOptions struct {
-	// Cache tunes the sharded view cache of preprocessed algorithms.
+	// Cache tunes the view cache of preprocessed algorithms.
 	Cache prep.CacheOptions
 	// Prewarm computes every vertex's view at construction using this
 	// many goroutines (0 = no prewarm, <0 = GOMAXPROCS).
@@ -199,8 +200,28 @@ func (s *Snapshot) RouteScratch(src, dst graph.Vertex, maxSteps int, sc *sim.Scr
 		DetectLoops:      !s.alg.Randomized,
 		PredecessorAware: s.alg.PredecessorAware,
 	}
+	res := sim.RunStoreScratch(s.st, sim.Func(s.f), src, dst, opts, sc)
 	if s.g != nil {
-		return sim.RunScratch(s.g, sim.Func(s.f), src, dst, opts, sc)
+		res.Dist = s.dist(src, dst, sc)
 	}
-	return sim.RunStoreScratch(s.st, sim.Func(s.f), src, dst, opts, sc)
+	return res
+}
+
+// dist returns dist(src, dst) on the snapshot's graph. When dst lies in
+// G_k(src) and src's view is cached, the view's raw distance column
+// already holds it: every path of length at most k from src lies in
+// G_k(src), so its BFS distance is the global one. Only a dst beyond
+// the view costs a whole-graph search. The view is read with Resident,
+// so stretch accounting never counts as a cache hit.
+//
+//klocal:hotpath
+func (s *Snapshot) dist(src, dst graph.Vertex, sc *sim.Scratch) int {
+	if s.pre != nil {
+		if v := s.pre.Resident(src); v != nil {
+			if ti, ok := v.C.Raw.Index(dst); ok {
+				return int(v.C.Raw.Dist[ti])
+			}
+		}
+	}
+	return s.g.DistScratch(src, dst, sc.Search())
 }

@@ -9,6 +9,61 @@ package graph
 type mirror struct {
 	start []int32
 	to    []int32
+	// index maps labels to dense indices. It is built only for graphs
+	// whose labels are not 0..n−1; Index resolves those by one compare.
+	index *labelIndex
+}
+
+// labelIndex is an open-addressing hash table from label to dense index:
+// Fibonacci hashing, linear probing, at most half full. A slot holds
+// only a dense index; the label it stands for is read back from the
+// sorted label array. It answers Index on the per-hop path for graphs
+// not labelled 0..n−1: one multiply and usually one probe, where a
+// runtime map pays for generic hashing and a binary search for log n
+// dependent loads.
+type labelIndex struct {
+	labels []Vertex // sorted, distinct
+	slots  []int32  // a dense index, or −1 for an empty slot
+	shift  uint     // 64 − log2(len(slots))
+}
+
+// newLabelIndex indexes the sorted, distinct labels by position.
+func newLabelIndex(labels []Vertex) *labelIndex {
+	bits := uint(1)
+	for 1<<bits < 2*len(labels) {
+		bits++
+	}
+	li := &labelIndex{labels: labels, slots: make([]int32, 1<<bits), shift: 64 - bits}
+	for i := range li.slots {
+		li.slots[i] = -1
+	}
+	mask := len(li.slots) - 1
+	for i, v := range labels {
+		h := li.hash(v)
+		for li.slots[h] >= 0 {
+			h = (h + 1) & mask
+		}
+		li.slots[h] = int32(i)
+	}
+	return li
+}
+
+func (li *labelIndex) hash(v Vertex) int { return int(uint64(v) * 0x9E3779B97F4A7C15 >> li.shift) }
+
+// get returns v's dense index, reporting presence.
+//
+//klocal:hotpath
+func (li *labelIndex) get(v Vertex) (int32, bool) {
+	mask := len(li.slots) - 1
+	for h := li.hash(v); ; h = (h + 1) & mask {
+		i := li.slots[h]
+		if i < 0 {
+			return 0, false
+		}
+		if li.labels[i] == v {
+			return i, true
+		}
+	}
 }
 
 // ensureMirror builds the CSR mirror on first use. Graphs are immutable
@@ -17,6 +72,9 @@ type mirror struct {
 func (g *Graph) ensureMirror() *mirror {
 	g.csrOnce.Do(func() {
 		m := &mirror{start: make([]int32, len(g.vertices)+1)}
+		if !g.identityLabels() {
+			m.index = newLabelIndex(g.vertices)
+		}
 		arcs := 0
 		for _, v := range g.vertices {
 			arcs += len(g.adj[v])
@@ -25,7 +83,10 @@ func (g *Graph) ensureMirror() *mirror {
 		for i, v := range g.vertices {
 			m.start[i] = int32(len(m.to))
 			for _, w := range g.adj[v] {
-				j, _ := g.Index(w)
+				j := int32(w)
+				if m.index != nil {
+					j, _ = m.index.get(w)
+				}
 				m.to = append(m.to, j)
 			}
 		}
@@ -35,26 +96,34 @@ func (g *Graph) ensureMirror() *mirror {
 	return g.csr
 }
 
+// identityLabels reports whether the labels are exactly 0..n−1, so
+// every label is its own dense index. The labels are sorted and
+// distinct, so the two ends decide it.
+func (g *Graph) identityLabels() bool {
+	n := len(g.vertices)
+	return n == 0 || g.vertices[0] == 0 && g.vertices[n-1] == Vertex(n-1)
+}
+
 // Index resolves a vertex label to its dense index (its position in the
-// sorted vertex order), reporting presence. The binary search is
-// hand-rolled: sort.Search's closure would allocate, and Index sits
-// under every per-hop accessor of the compact routing structures.
+// sorted vertex order), reporting presence. It is O(1): a label that
+// sits at its own position is its index, which settles every graph
+// labelled 0..n−1 in one compare; other labellings read the mirror's
+// label hash table.
 //
 //klocal:hotpath
 func (g *Graph) Index(v Vertex) (int32, bool) {
-	lo, hi := 0, len(g.vertices)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if g.vertices[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if uint(v) < uint(len(g.vertices)) && g.vertices[v] == v {
+		return int32(v), true
 	}
-	if lo < len(g.vertices) && g.vertices[lo] == v {
-		return int32(lo), true
+	return g.indexSparse(v)
+}
+
+// indexSparse is Index's path for labels not at their own position.
+func (g *Graph) indexSparse(v Vertex) (int32, bool) {
+	if g.identityLabels() {
+		return 0, false
 	}
-	return 0, false
+	return g.ensureMirror().index.get(v)
 }
 
 // VertexAt returns the label of dense index i (inverse of Index).

@@ -48,6 +48,49 @@ func TestMirrorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIndexLabellings checks Index against each label's position in
+// the sorted vertex order under labellings that do and do not take the
+// one-compare path: 0..n−1, 3v+7, negative labels, and labellings
+// where only a prefix of labels sits at its own position. Absent
+// labels inside and outside 0..n−1 must report absence, and the rows
+// must translate through the same labels.
+func TestIndexLabellings(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	relabel := map[string]func(v Vertex) Vertex{
+		"identity": func(v Vertex) Vertex { return v },
+		"3v+7":     func(v Vertex) Vertex { return 3*v + 7 },
+		"negative": func(v Vertex) Vertex { return v - 20 },
+		"prefix":   func(v Vertex) Vertex { return v + v/5*v },
+	}
+	for name, f := range relabel {
+		for trial := 0; trial < 10; trial++ {
+			h := randomConnected(r, 2+r.Intn(40))
+			b := NewBuilder()
+			for _, e := range h.Edges() {
+				b.AddEdge(f(e.U), f(e.V))
+			}
+			g := b.Build()
+			present := make(map[Vertex]bool)
+			for i, v := range g.Vertices() {
+				present[v] = true
+				if j, ok := g.Index(v); !ok || int(j) != i {
+					t.Fatalf("%s: Index(%d) = %d,%v want %d", name, v, j, ok, i)
+				}
+				for p, wi := range g.Row(int32(i)) {
+					if g.VertexAt(wi) != g.Adj(v)[p] {
+						t.Fatalf("%s: row %d[%d] = %d want %d", name, v, p, g.VertexAt(wi), g.Adj(v)[p])
+					}
+				}
+			}
+			for v := Vertex(-25); v < Vertex(3*g.N()+10); v++ {
+				if _, ok := g.Index(v); ok != present[v] {
+					t.Fatalf("%s: Index(%d) presence %v, want %v", name, v, ok, present[v])
+				}
+			}
+		}
+	}
+}
+
 // TestDistScratchMatchesDist checks the int-indexed distance equals the
 // map-based one on random pairs, including disconnected ones.
 func TestDistScratchMatchesDist(t *testing.T) {

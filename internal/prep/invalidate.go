@@ -22,107 +22,86 @@ import (
 //     reading a consistent (old graph, old views) pair — the epoch
 //     isolation klocald's PATCH /graph path relies on.
 
-// Invalidate evicts exactly the cached views of the dirty vertices,
-// from both cache levels, and returns how many resident views were
-// actually dropped. Untouched views survive, including their Compact
-// encodings. It is safe under concurrent At: routing that holds an
-// evicted *View keeps a consistent immutable value, and the next At on
-// a dirty vertex recomputes through the store.
+// Invalidate evicts exactly the cached views of the dirty vertices and
+// returns how many resident views were actually dropped; absent and
+// repeated vertices drop nothing. Untouched views survive, including
+// their Compact encodings. It is safe under concurrent At: routing that
+// holds an evicted *View keeps a consistent immutable value, and the
+// next At on a dirty vertex recomputes through the store.
 func (p *Preprocessor) Invalidate(dirty []graph.Vertex) int {
 	if len(dirty) == 0 {
 		return 0
 	}
-	// Group per shard so each shard locks once per call, not per vertex.
-	byShard := make(map[*prepShard][]graph.Vertex)
-	for _, u := range dirty {
-		sh := p.shardOf(u)
-		byShard[sh] = append(byShard[sh], u)
+	if p.ring != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
 	}
 	dropped := 0
-	for sh, us := range byShard {
-		sh.mu.Lock()
-		for _, u := range us {
-			if _, ok := sh.live[u]; ok {
-				delete(sh.live, u)
-				sh.size.Add(-1)
-				dropped++
+	for _, u := range dirty {
+		if i, ok := p.st.Index(u); ok && p.table[i].Swap(nil) != nil {
+			p.size.Add(-1)
+			dropped++
+		}
+	}
+	if dropped > 0 {
+		// Free the ring slots of the dropped views.
+		for r, i := range p.ring {
+			if i >= 0 && p.table[i].Load() == nil {
+				p.ring[r] = -1
 			}
 		}
-		if m := sh.frozen.Load(); m != nil {
-			hit := 0
-			for _, u := range us {
-				if _, ok := (*m)[u]; ok {
-					hit++
-				}
-			}
-			if hit > 0 {
-				// The frozen map is immutable; publish a copy without
-				// the dirty rows.
-				next := make(map[graph.Vertex]*View, len(*m)-hit)
-				for w, v := range *m {
-					next[w] = v
-				}
-				for _, u := range us {
-					if _, ok := next[u]; ok {
-						delete(next, u)
-						sh.size.Add(-1)
-						dropped++
-					}
-				}
-				sh.frozen.Store(&next)
-			}
-		}
-		sh.mu.Unlock()
 	}
 	return dropped
 }
 
 // Derive returns a preprocessor bound to st — the post-delta topology —
 // that adopts every cached view of p except those of dirty vertices.
-// Cache tuning (shards, capacity, policy, locality) carries over; p is
-// not modified and stays fully usable over its own store, so old-epoch
+// Cache tuning (capacity, policy, locality) carries over; p is not
+// modified and stays fully usable over its own store, so old-epoch
 // readers and the derived new epoch never observe a torn
-// (graph, views) pair. The adopted views are frozen, so warm hits on
-// the new epoch are lock-free immediately.
+// (graph, views) pair. Adoption copies p's table: a view keeps its
+// index where the vertex still has it, and is remapped by label where
+// added or removed vertices shifted the indices. Warm hits on the new
+// epoch need no lock from the start.
 func (p *Preprocessor) Derive(st bigraph.Store, dirty []graph.Vertex) *Preprocessor {
-	np := NewPreprocessorStoreOpts(st, p.k, p.pol, CacheOptions{
-		Shards:   len(p.shards),
-		Capacity: p.capacity,
-	})
-	skip := make(map[graph.Vertex]struct{}, len(dirty))
-	for _, u := range dirty {
-		skip[u] = struct{}{}
+	np := NewPreprocessorStoreOpts(st, p.k, p.pol, CacheOptions{Capacity: p.capacity})
+	if p.ring != nil {
+		// Hold the residency still, so adoption cannot exceed capacity.
+		p.mu.Lock()
+		defer p.mu.Unlock()
 	}
-	for i := range p.shards {
-		sh := &p.shards[i]
-		nsh := &np.shards[i] // same shard count ⇒ same vertex→shard map
-		adopted := make(map[graph.Vertex]*View)
-		sh.mu.Lock()
-		if m := sh.frozen.Load(); m != nil {
-			for w, v := range *m {
-				if _, bad := skip[w]; !bad {
-					adopted[w] = v
-				}
-			}
-		}
-		for w, v := range sh.live {
-			if _, bad := skip[w]; !bad {
-				adopted[w] = v
-			}
-		}
-		sh.mu.Unlock()
-		if len(adopted) == 0 {
+	n := int32(st.N())
+	for i := range p.table {
+		v := p.table[i].Load()
+		if v == nil {
 			continue
 		}
-		if np.capacity > 0 {
-			// Bounded caches keep everything in live to preserve the
-			// eviction semantics; adoption can never exceed the old
-			// residency, which respected the same capacity.
-			nsh.live = adopted
-		} else {
-			nsh.frozen.Store(&adopted)
+		j, ok := int32(i), true
+		if j >= n || st.VertexAt(j) != v.Center {
+			j, ok = st.Index(v.Center)
 		}
-		nsh.size.Store(int64(len(adopted)))
+		if ok {
+			np.table[j].Store(v)
+		}
+	}
+	for _, u := range dirty {
+		if j, ok := st.Index(u); ok {
+			np.table[j].Store(nil)
+		}
+	}
+	size := 0
+	for j := range np.table {
+		if np.table[j].Load() == nil {
+			continue
+		}
+		if np.ring != nil {
+			np.ring[size] = int32(j)
+		}
+		size++
+	}
+	np.size.Store(int64(size))
+	if len(np.ring) > 0 {
+		np.hand = size % len(np.ring)
 	}
 	return np
 }

@@ -131,22 +131,14 @@ func TestDeriveBoundedCache(t *testing.T) {
 	if got := np.Stats().Size; got > 10 {
 		t.Fatalf("derived bounded cache holds %d views, capacity 10", got)
 	}
-	// The bounded path must keep adopted views in the evictable live
-	// level — a frozen map would exempt them from capacity replacement.
-	for i := range np.shards {
-		if np.shards[i].frozen.Load() != nil {
-			t.Fatal("bounded derived cache froze adopted views")
-		}
-	}
-	// Filling the cache further stays within capacity plus the seed
-	// cache's per-shard replacement slack (an insert into a shard whose
-	// live map is empty cannot evict).
+	// Filling the cache further evicts adopted and new views alike and
+	// never exceeds the capacity.
 	post.EachVertex(func(u graph.Vertex) bool {
 		np.At(u)
 		return true
 	})
-	if got := np.Stats().Size; got > 10+int64(len(np.shards)) {
-		t.Fatalf("bounded cache grew to %d views after adoption", got)
+	if got := np.Stats().Size; got != 10 {
+		t.Fatalf("bounded cache holds %d views after adoption and a full pass, want capacity 10", got)
 	}
 }
 
@@ -192,4 +184,22 @@ func TestConcurrentRoutingDuringInvalidate(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestDeriveToEmptyStore: deriving onto a topology with no vertices
+// adopts nothing, bounded or not, and lookups get the empty view.
+func TestDeriveToEmptyStore(t *testing.T) {
+	g := gen.Cycle(8)
+	empty := graph.NewBuilder().Build()
+	for _, capacity := range []int{0, 4} {
+		p := NewPreprocessorOpts(g, 2, PolicyMinRank, CacheOptions{Capacity: capacity})
+		p.Prewarm(1)
+		np := p.Derive(empty, g.Vertices())
+		if st := np.Stats(); st.Size != 0 {
+			t.Fatalf("capacity %d: derived empty cache holds %d views", capacity, st.Size)
+		}
+		if v := np.At(3); v.Center != 3 || v.C.Raw.NV() != 0 {
+			t.Fatalf("capacity %d: At on an empty store returned a non-empty view", capacity)
+		}
+	}
 }

@@ -163,29 +163,25 @@ func (v *View) IsDormant(e graph.Edge) bool {
 func (v *View) ActiveDegree() int { return len(v.ActiveRoots) }
 
 // CacheOptions tune the preprocessor's view cache. The zero value means
-// defaults: DefaultShards lock shards, unbounded capacity.
+// an unbounded cache.
 type CacheOptions struct {
-	// Shards is the number of independently locked cache shards; views
-	// hash across shards by vertex so concurrent routing workers rarely
-	// contend. Rounded up to a power of two. 0 means DefaultShards.
-	Shards int
-	// Capacity bounds the total number of cached views across all
-	// shards; when a shard fills, an arbitrary resident view is evicted
-	// (random replacement — adequate because routing workloads revisit
-	// sources far more often than they scan). 0 means unbounded.
+	// Capacity bounds the number of cached views; a miss on a full cache
+	// evicts one resident view, the oldest unless views have been
+	// invalidated since (routing workloads revisit sources far more
+	// often than they scan, so the choice of victim barely matters).
+	// 0 means unbounded.
 	Capacity int
 }
-
-// DefaultShards is the shard count used when CacheOptions.Shards is 0.
-const DefaultShards = 8
 
 // CacheStats is a point-in-time snapshot of preprocessor cache activity.
 type CacheStats struct {
 	// Hits counts At calls served from the cache.
 	Hits int64
-	// Misses counts At calls that ran preprocessing. Concurrent misses
-	// on the same vertex each count (both compute; one insert wins), so
-	// Misses can slightly exceed the number of distinct vertices.
+	// Misses counts At calls that ran preprocessing, including calls on
+	// absent vertices (whose empty views are never cached). Concurrent
+	// misses on the same vertex each count (both compute; one publish
+	// wins), so Misses can slightly exceed the number of distinct
+	// vertices.
 	Misses int64
 	// Evictions counts views discarded to respect Capacity.
 	Evictions int64
@@ -228,53 +224,54 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// prepShard is one lock-striped portion of the view cache.
-//
-// Reads are two-level: frozen is an immutable map published through an
-// atomic pointer — warm hits resolve against it with no lock and no
-// shared-cacheline write beyond this shard's own padded hit counter —
-// and live holds entries inserted since the last freeze, guarded by mu.
-// When live outgrows frozen, the two merge into a fresh frozen map
-// (amortized O(1) per insert) so a prewarmed cache serves every hit
-// lock-free. Bounded caches (Capacity > 0) skip the frozen level and
-// keep everything in live, preserving the exact eviction semantics.
-//
-// The counters live in the shard and the struct is padded past a cache
-// line, so hit accounting from different workers never false-shares —
-// the previous design's four global atomics serialized every warm hit
-// in the pool.
-type prepShard struct {
-	frozen atomic.Pointer[map[graph.Vertex]*View]
-	mu     sync.Mutex
-	live   map[graph.Vertex]*View
+// statStripes is the number of hit/miss counter stripes; a lookup
+// counts in the stripe its vertex index selects.
+const statStripes = 8
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	size      atomic.Int64
-
-	_ [64]byte // pad: neighbouring shards' counters must not share a line
+// statStripe is one cache line of hit/miss counters, so counting from
+// different workers on different vertices never false-shares.
+type statStripe struct {
+	hits   atomic.Int64
+	misses atomic.Int64
+	_      [48]byte
 }
 
 // Preprocessor caches per-node views for a fixed network and locality.
 // The preprocessing step "need not be repeated unless the network topology
-// changes", so views are computed once per node and shared. It is safe
-// for concurrent use: the cache is sharded by vertex, views are immutable
-// after construction, and a view is published only via the shard lock.
+// changes", so views are computed once per node and shared.
 //
-// Under concurrent misses for the same vertex both callers compute the
-// view and the first insert wins; the duplicate work is bounded and
-// lock-free, which beats serializing whole shards behind preprocessing
-// (BFS-heavy) critical sections.
+// The cache is one table of atomic view pointers addressed by the
+// store's dense vertex index, so a warm At is an Index and one atomic
+// load. A miss builds the view outside any lock and publishes it with a
+// compare-and-swap; under concurrent misses on one vertex both callers
+// compute and the first publish wins, which beats serializing misses
+// behind preprocessing (BFS-heavy) critical sections. Bounded caches
+// publish under mu instead, which also guards the ring of resident
+// indices that eviction walks. Views are immutable after construction,
+// so it is safe for concurrent use.
 type Preprocessor struct {
 	st  bigraph.Store
 	g   *graph.Graph // non-nil only when st is a materialized *graph.Graph
 	k   int
 	pol Policy
 
-	shards   []prepShard
-	mask     uint64
-	capacity int // per whole cache; 0 = unbounded
+	// table[i] is the resident view of the vertex with dense index i,
+	// or nil.
+	table    []atomic.Pointer[View]
+	capacity int // as configured; 0 = unbounded
+
+	// Bounded caches only. ring holds the index of every resident view
+	// once, or -1 in a free slot. hand is the next slot to fill; once
+	// the ring is full it is also the slot evicted, so without
+	// invalidations eviction follows publication order.
+	mu   sync.Mutex
+	ring []int32
+	hand int
+
+	size      atomic.Int64
+	evictions atomic.Int64
+	_         [64]byte // keep the counted stripes off the fields above
+	stats     [statStripes]statStripe
 }
 
 // NewPreprocessor returns a caching preprocessor for network g at
@@ -303,28 +300,23 @@ func NewPreprocessorStore(st bigraph.Store, k int, pol Policy) *Preprocessor {
 
 // NewPreprocessorStoreOpts is NewPreprocessorOpts over any bigraph.Store.
 func NewPreprocessorStoreOpts(st bigraph.Store, k int, pol Policy, opts CacheOptions) *Preprocessor {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	// Round up to a power of two so vertex hashing is a mask.
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
 	p := &Preprocessor{
 		st:       st,
 		k:        k,
 		pol:      pol,
-		shards:   make([]prepShard, shards),
-		mask:     uint64(shards - 1),
+		table:    make([]atomic.Pointer[View], st.N()),
 		capacity: opts.Capacity,
 	}
 	if g, ok := st.(*graph.Graph); ok {
 		p.g = g
 	}
-	for i := range p.shards {
-		p.shards[i].live = make(map[graph.Vertex]*View)
+	if p.capacity > 0 {
+		// The table never holds more than N views, so a larger
+		// capacity needs no more ring than that.
+		p.ring = make([]int32, min(p.capacity, len(p.table)))
+		for i := range p.ring {
+			p.ring[i] = -1
+		}
 	}
 	return p
 }
@@ -342,135 +334,105 @@ func (p *Preprocessor) Store() bigraph.Store { return p.st }
 // Policy returns the dormancy policy.
 func (p *Preprocessor) Policy() Policy { return p.pol }
 
-// Stats returns a snapshot of cache activity, summed over the shards.
+// Stats returns a snapshot of cache activity, summed over the stripes.
 func (p *Preprocessor) Stats() CacheStats {
-	var s CacheStats
-	for i := range p.shards {
-		sh := &p.shards[i]
-		s.Hits += sh.hits.Load()
-		s.Misses += sh.misses.Load()
-		s.Evictions += sh.evictions.Load()
-		s.Size += sh.size.Load()
+	s := CacheStats{Evictions: p.evictions.Load(), Size: p.size.Load()}
+	for i := range p.stats {
+		s.Hits += p.stats[i].hits.Load()
+		s.Misses += p.stats[i].misses.Load()
 	}
 	return s
 }
 
-// totalSize sums resident views across shards (the capacity check).
-func (p *Preprocessor) totalSize() int64 {
-	var n int64
-	for i := range p.shards {
-		n += p.shards[i].size.Load()
-	}
-	return n
-}
-
-// shardOf picks the lock shard for u (Fibonacci hashing spreads the
-// typically consecutive vertex labels).
-func (p *Preprocessor) shardOf(u graph.Vertex) *prepShard {
-	h := uint64(u) * 0x9e3779b97f4a7c15
-	return &p.shards[(h>>32)&p.mask]
-}
-
-// At returns the (cached) view at u. Warm hits on an unbounded cache
-// resolve against the shard's frozen map: one atomic load, no lock, no
-// cross-shard cacheline traffic.
+// At returns the (cached) view at u. A warm hit is one Index, one
+// atomic load and one striped counter increment: no lock, no map. An
+// absent vertex gets the empty view, built and not cached.
 //
 //klocal:hotpath
 func (p *Preprocessor) At(u graph.Vertex) *View {
-	sh := p.shardOf(u)
-	if m := sh.frozen.Load(); m != nil {
-		if v, ok := (*m)[u]; ok {
-			sh.hits.Add(1)
-			return v
-		}
+	i, ok := p.st.Index(u)
+	if !ok {
+		p.stats[0].misses.Add(1)
+		return PreprocessStore(p.st, u, p.k, p.pol)
 	}
-	sh.mu.Lock()
-	if v, ok := sh.live[u]; ok {
-		sh.mu.Unlock()
-		sh.hits.Add(1)
+	sp := &p.stats[i&(statStripes-1)]
+	if v := p.table[i].Load(); v != nil {
+		sp.hits.Add(1)
 		return v
 	}
-	sh.mu.Unlock()
-	sh.misses.Add(1)
-	v := PreprocessStore(p.st, u, p.k, p.pol)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.live[u]; ok {
-		// A concurrent miss published first; keep its view so every
-		// caller shares one instance.
-		return cur
+	sp.misses.Add(1)
+	return p.publish(i, PreprocessStore(p.st, u, p.k, p.pol))
+}
+
+// Resident returns the cached view at u without building it and
+// without counting a hit or a miss, or nil when none is resident.
+//
+//klocal:hotpath
+func (p *Preprocessor) Resident(u graph.Vertex) *View {
+	i, ok := p.st.Index(u)
+	if !ok {
+		return nil
 	}
-	if m := sh.frozen.Load(); m != nil {
-		// A concurrent freeze may have moved the winning entry out of
-		// live; freezes happen under mu, so this read is stable.
-		if cur, ok := (*m)[u]; ok {
+	return p.table[i].Load()
+}
+
+// publish installs v as the view at index i unless a concurrent miss
+// got there first, and returns the view every caller shares.
+func (p *Preprocessor) publish(i int32, v *View) *View {
+	if p.ring != nil {
+		return p.publishBounded(i, v)
+	}
+	for {
+		if p.table[i].CompareAndSwap(nil, v) {
+			p.size.Add(1)
+			return v
+		}
+		// The loser adopts the winner's view. A concurrent Invalidate
+		// may have cleared it again, in which case the CAS is retried.
+		if cur := p.table[i].Load(); cur != nil {
 			return cur
 		}
 	}
-	if p.capacity > 0 && p.totalSize() >= int64(p.capacity) {
-		// Random replacement inside this shard (map iteration order).
-		for w := range sh.live {
-			delete(sh.live, w)
-			sh.size.Add(-1)
-			sh.evictions.Add(1)
-			break
-		}
-	}
-	sh.live[u] = v
-	sh.size.Add(1)
-	if p.capacity == 0 {
-		sh.maybeFreezeLocked(false)
-	}
-	return v
 }
 
-// maybeFreezeLocked merges live into a fresh frozen map when live has
-// caught up with frozen (or unconditionally when force is set), then
-// resets live. Doubling-style growth keeps the merge cost amortized O(1)
-// per insert. Caller holds sh.mu.
-func (sh *prepShard) maybeFreezeLocked(force bool) {
-	const freezeMin = 32
-	var frozen map[graph.Vertex]*View
-	if m := sh.frozen.Load(); m != nil {
-		frozen = *m
+// publishBounded is publish for a bounded cache: under mu, it takes the
+// next free ring slot, or evicts the view in the hand's slot when the
+// ring is full.
+func (p *Preprocessor) publishBounded(i int32, v *View) *View {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cur := p.table[i].Load(); cur != nil {
+		return cur
 	}
-	if !force && (len(sh.live) < freezeMin || len(sh.live) < len(frozen)) {
-		return
+	full := int(p.size.Load()) >= len(p.ring)
+	for !full && p.ring[p.hand] >= 0 {
+		p.hand = (p.hand + 1) % len(p.ring)
 	}
-	if len(sh.live) == 0 {
-		return
+	if old := p.ring[p.hand]; old >= 0 {
+		p.table[old].Store(nil)
+		p.size.Add(-1)
+		p.evictions.Add(1)
 	}
-	merged := make(map[graph.Vertex]*View, len(frozen)+len(sh.live))
-	for w, v := range frozen {
-		merged[w] = v
-	}
-	for w, v := range sh.live {
-		merged[w] = v
-	}
-	sh.frozen.Store(&merged)
-	sh.live = make(map[graph.Vertex]*View)
+	p.ring[p.hand] = i
+	p.hand = (p.hand + 1) % len(p.ring)
+	p.table[i].Store(v)
+	p.size.Add(1)
+	return v
 }
 
 // Prewarm computes and caches the view of every vertex using `workers`
 // goroutines (GOMAXPROCS when ≤ 0), so later routing never pays the
 // preprocessing latency. With a bounded cache smaller than the vertex
-// count, prewarming fills the cache and stops early.
+// count, prewarming fills the cache with the lowest-labelled vertices
+// and stops.
 func (p *Preprocessor) Prewarm(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	limit := p.st.N()
+	limit := len(p.table)
 	if p.capacity > 0 && limit > p.capacity {
 		limit = p.capacity
 	}
-	if limit == 0 {
-		return
-	}
-	vs := make([]graph.Vertex, 0, limit)
-	p.st.EachVertex(func(v graph.Vertex) bool {
-		vs = append(vs, v)
-		return len(vs) < limit
-	})
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -479,24 +441,14 @@ func (p *Preprocessor) Prewarm(workers int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(vs) {
+				if i >= limit {
 					return
 				}
-				p.At(vs[i])
+				p.At(p.st.VertexAt(int32(i)))
 			}
 		}()
 	}
 	wg.Wait()
-	if p.capacity == 0 {
-		// Freeze the remainder so a prewarmed cache serves every
-		// subsequent hit lock-free.
-		for i := range p.shards {
-			sh := &p.shards[i]
-			sh.mu.Lock()
-			sh.maybeFreezeLocked(true)
-			sh.mu.Unlock()
-		}
-	}
 }
 
 // ConsistentEdges returns the globally consistent edges of g at locality

@@ -10,9 +10,11 @@ package route
 //     construction).
 //
 //   - Algorithms 1, 1B and 2 close over a prep.Preprocessor. The
-//     preprocessor's view cache is sharded and internally synchronized;
-//     the *prep.View instances it hands out are immutable after
-//     publication, so concurrent readers never observe partial views.
+//     preprocessor's view cache is a table of atomic view pointers
+//     indexed by vertex, internally synchronized (atomic publication,
+//     and a lock on misses when the cache is bounded); the *prep.View
+//     instances it hands out are immutable after publication, so
+//     concurrent readers never observe partial views.
 //     Funcs built by BindCached share one externally owned preprocessor
 //     across closures — also safe, including under cache eviction
 //     (evicted views stay valid for readers holding them; they are

@@ -14,7 +14,7 @@ import (
 // The race-safety audit for the traffic engine: every algorithm's bound
 // routing function is shared by many concurrent workers routing different
 // (s, t) pairs through one closure — and, for the preprocessed
-// algorithms, one shared sharded view cache. Run with -race (see the
+// algorithms, one shared view cache. Run with -race (see the
 // Makefile's race target).
 
 func raceAlgorithms() []Algorithm {
@@ -79,9 +79,9 @@ func TestConcurrentRoutingSharedPreprocessor(t *testing.T) {
 		t.Run(alg.Name, func(t *testing.T) {
 			t.Parallel()
 			k := alg.MinK(g.N())
-			// One externally owned sharded cache shared across workers,
+			// One externally owned view cache shared across workers,
 			// bounded below the vertex count so eviction races with reads.
-			p := prep.NewPreprocessorOpts(g, k, alg.Policy, prep.CacheOptions{Shards: 4, Capacity: g.N() / 2})
+			p := prep.NewPreprocessorOpts(g, k, alg.Policy, prep.CacheOptions{Capacity: g.N() / 2})
 			f := alg.BindCached(p)
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {

@@ -52,7 +52,7 @@ type Algorithm struct {
 	Policy prep.Policy
 	// BindCached, when non-nil, binds the routing function over an
 	// externally owned preprocessor — the traffic engine uses it to share
-	// one sharded view cache across all messages of a snapshot (and
+	// one view cache across all messages of a snapshot (and
 	// across Bind calls that would otherwise each build their own).
 	// The preprocessor must have been built for the same policy.
 	BindCached func(p *prep.Preprocessor) Func

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 
 	"klocal/internal/bigraph"
 	"klocal/internal/gen"
@@ -94,6 +96,58 @@ func (sp GraphSpec) BuildStore() (bigraph.Store, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// ErrGraphPathForbidden is wrapped into confine's error when a spec
+// names a graph file outside the daemon's graph directory, or any file
+// when the daemon has none. PUT /graph answers it 403.
+var ErrGraphPathForbidden = errors.New("serve: graph file outside the graph directory")
+
+// confine checks a client-supplied spec against the graph directory
+// dir before anything is opened. Specs of kinds other than "file" pass
+// unchanged. A file path is taken relative to dir unless absolute, and
+// both its cleaned form and its symlink-resolved form must lie inside
+// dir's own resolved path; otherwise the error wraps
+// ErrGraphPathForbidden, as it does for every file spec when dir is
+// empty. The returned spec names the resolved path, so the file opened
+// is the file checked.
+func (sp GraphSpec) confine(dir string) (GraphSpec, error) {
+	if sp.withDefaults().Kind != "file" {
+		return sp, nil
+	}
+	if dir == "" {
+		return sp, fmt.Errorf("%w: this daemon has no graph directory (klocald -graph-dir)", ErrGraphPathForbidden)
+	}
+	root, err := filepath.EvalSymlinks(dir)
+	if err == nil {
+		root, err = filepath.Abs(root)
+	}
+	if err != nil {
+		return sp, fmt.Errorf("%w: graph directory: %v", ErrGraphPathForbidden, err)
+	}
+	path := sp.Path
+	if !filepath.IsAbs(path) {
+		path = filepath.Join(root, path)
+	}
+	if !within(root, filepath.Clean(path)) {
+		return sp, fmt.Errorf("%w: %q", ErrGraphPathForbidden, sp.Path)
+	}
+	resolved, err := filepath.EvalSymlinks(path)
+	if err != nil {
+		return sp, fmt.Errorf("serve: graph file %q: %w", sp.Path, err)
+	}
+	if !within(root, resolved) {
+		return sp, fmt.Errorf("%w: %q resolves outside it", ErrGraphPathForbidden, sp.Path)
+	}
+	sp.Path = resolved
+	return sp, nil
+}
+
+// within reports whether the clean absolute path lies strictly inside
+// the directory root.
+func within(root, path string) bool {
+	rel, err := filepath.Rel(root, path)
+	return err == nil && rel != "." && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator))
 }
 
 // Size limits on the topologies Build materializes. A map-based

@@ -87,7 +87,7 @@ type GraphReply struct {
 //
 //	POST /route          route one (s, t) pair, optional hop trace
 //	POST /batch          route a batch of pairs in order
-//	PUT  /graph          hot-swap the topology (GraphSpec body)
+//	PUT  /graph          hot-swap the topology (GraphSpec body; files from GraphDir only)
 //	PATCH /graph         apply incremental deltas (DeltaRequest body)
 //	GET  /graph          describe the current generation
 //	GET  /metrics        live merged metrics (text; ?format=json)
@@ -285,6 +285,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var spec GraphSpec
 	if !s.decode(w, r, MaxGraphBody, "graph spec", &spec) {
+		return
+	}
+	spec, err := spec.confine(s.cfg.GraphDir)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrGraphPathForbidden) {
+			status = http.StatusForbidden
+		}
+		s.fail(w, status, err)
 		return
 	}
 	nd, err := s.Swap(spec)

@@ -7,9 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"klocal/internal/bigraph"
+	"klocal/internal/gen"
 )
 
 // TestGraphSpecSizeLimits: specs whose vertex or implied edge count is
@@ -136,4 +141,81 @@ func send(t *testing.T, method, url, body string) (int, string) {
 		return resp.StatusCode, er.Error
 	}
 	return resp.StatusCode, string(bytes.TrimSpace(raw))
+}
+
+// TestPutGraphFileConfined: PUT /graph loads kind "file" topologies only
+// from inside Config.GraphDir. Without a directory every file spec is
+// refused with 403; with one, "..", absolute paths outside it and
+// symlinks that lead out are refused with 403 before anything is
+// opened, a missing file inside it is a 400, and a file inside it
+// deploys. The operator's initial file spec is not confined.
+func TestPutGraphFileConfined(t *testing.T) {
+	g := gen.Cycle(12)
+	outside := writeCSR(t, g) // a directory the daemon may not read
+	dir := t.TempDir()
+	inside := filepath.Join(dir, "ok.csr")
+	if err := bigraph.FromGraph(g).WriteFile(inside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(outside, filepath.Join(dir, "escape.csr")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(inside, filepath.Join(dir, "sub", "alias.csr")); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(dir, outside)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		graphDir string
+		body     string
+		want     int
+	}{
+		{"no-dir", "", `{"kind":"file","path":"` + inside + `"}`, http.StatusForbidden},
+		{"no-dir-bare-path", "", `{"path":"` + inside + `"}`, http.StatusForbidden},
+		{"dotdot", dir, `{"kind":"file","path":"../x.csr"}`, http.StatusForbidden},
+		{"dotdot-to-real-file", dir, `{"kind":"file","path":"` + rel + `"}`, http.StatusForbidden},
+		{"dotdot-inside-out", dir, `{"kind":"file","path":"sub/../../x.csr"}`, http.StatusForbidden},
+		{"absolute-outside", dir, `{"kind":"file","path":"` + outside + `"}`, http.StatusForbidden},
+		{"system-file", dir, `{"kind":"file","path":"/etc/passwd"}`, http.StatusForbidden},
+		{"the-dir-itself", dir, `{"kind":"file","path":"."}`, http.StatusForbidden},
+		{"symlink-out", dir, `{"kind":"file","path":"escape.csr"}`, http.StatusForbidden},
+		{"missing-inside", dir, `{"kind":"file","path":"none.csr"}`, http.StatusBadRequest},
+		{"relative-inside", dir, `{"kind":"file","path":"ok.csr"}`, http.StatusOK},
+		{"absolute-inside", dir, `{"kind":"file","path":"` + inside + `"}`, http.StatusOK},
+		{"symlink-inside", dir, `{"kind":"file","path":"sub/alias.csr"}`, http.StatusOK},
+		{"generator-without-dir", "", `{"kind":"cycle","size":10}`, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The initial file lies outside GraphDir: the operator's
+			// own spec is trusted.
+			srv, err := New(Config{Graph: GraphSpec{Kind: "file", Path: outside}, Algorithms: []string{"alg2"}, GraphDir: tc.graphDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Drain()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			code, body := send(t, http.MethodPut, ts.URL+"/graph", tc.body)
+			if code != tc.want {
+				t.Fatalf("PUT /graph %s: %d %s, want %d", tc.body, code, body, tc.want)
+			}
+			if code == http.StatusForbidden && !strings.Contains(body, "outside the graph directory") {
+				t.Fatalf("403 body %q does not name the refusal", body)
+			}
+			var gr GraphReply
+			if code := postJSON(t, http.MethodGet, ts.URL+"/graph", nil, &gr); code != http.StatusOK {
+				t.Fatalf("GET /graph after PUT: %d", code)
+			}
+			if swapped := gr.Rev > 1; swapped != (tc.want == http.StatusOK) {
+				t.Fatalf("rev %d after a PUT answered %d", gr.Rev, code)
+			}
+		})
+	}
 }

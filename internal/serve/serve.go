@@ -66,6 +66,11 @@ type Config struct {
 	CacheCapacity int
 	// Prewarm computes every vertex's view at deployment build time.
 	Prewarm bool
+	// GraphDir is the only directory PUT /graph may load kind "file"
+	// topologies from (see GraphSpec.confine); empty refuses every file
+	// spec a client sends. The initial Graph is the operator's own and
+	// is not confined.
+	GraphDir string
 }
 
 func (c Config) withDefaults() Config {

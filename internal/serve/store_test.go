@@ -32,6 +32,7 @@ func TestFileDeployment(t *testing.T) {
 	s, err := New(Config{
 		Graph:      GraphSpec{Kind: "file", Path: path},
 		Algorithms: []string{"alg2"},
+		GraphDir:   filepath.Dir(path), // PUT /graph may load files from here only
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -139,6 +139,10 @@ func NewScratch() *Scratch {
 	return &Scratch{search: graph.NewSearchScratch()}
 }
 
+// Search returns the scratch's distance-search banks, for callers that
+// fill Result.Dist themselves after RunStoreScratch.
+func (sc *Scratch) Search() *graph.SearchScratch { return sc.search }
+
 // stateSet is the livelock detector's set of visited decision states,
 // keyed by packed dense indices: open addressing with linear probing,
 // each slot stamped with the epoch that wrote it. reset empties it in

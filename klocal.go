@@ -440,7 +440,7 @@ var (
 var Degrade = exper.Degrade
 
 // The traffic engine (internal/engine): batched concurrent routing over
-// an immutable snapshot with sharded, size-bounded preprocessing.
+// an immutable snapshot with cached, optionally bounded preprocessing.
 type (
 	// Snapshot is an immutable (network, locality, algorithm) binding
 	// with a shared preprocessed-view cache.
@@ -461,7 +461,7 @@ type (
 	// MetricsReport is a merged, renderable metric snapshot
 	// (WriteText / WriteJSON).
 	MetricsReport = metrics.Report
-	// CacheOptions tune the sharded preprocessed-view cache.
+	// CacheOptions tune the preprocessed-view cache (its capacity).
 	CacheOptions = prep.CacheOptions
 	// CacheStats snapshots view-cache activity (hits, misses,
 	// evictions, size).
@@ -495,8 +495,8 @@ var (
 	// SweepParallel is the locality sweep routed through the engine —
 	// identical points, concurrent wall clock.
 	SweepParallel = exper.SweepParallel
-	// NewPreprocessorOpts builds a sharded, size-bounded view cache for
-	// direct use with Algorithm.BindCached.
+	// NewPreprocessorOpts builds an index-addressed, optionally bounded
+	// view cache for direct use with Algorithm.BindCached.
 	NewPreprocessorOpts = prep.NewPreprocessorOpts
 )
 
